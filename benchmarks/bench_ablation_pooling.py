@@ -16,8 +16,7 @@ the pool's saturation point.
 import pytest
 
 from repro.calibration import paper_cluster_config
-from repro.engine import FlowSpec, FluidEngine
-from repro.engine.fluid import solve_max_min_shares
+from repro.engine import FluidEngine, TimedFlow, max_min_rates
 
 #: Pool device bandwidth: 2x one link (a realistic early CXL pool),
 #: versus the ~18x of a full lender node's memory bus.
@@ -33,7 +32,8 @@ def _per_borrower_gbs(n_borrowers: int, pooled: bool) -> float:
     if pooled:
         capacities["pool"] = POOL_BANDWIDTH_LINKS * link_rate
         flows = [
-            FlowSpec(f"b{i}", demand, (f"link{i}", "pool")) for i in range(n_borrowers)
+            TimedFlow(f"b{i}", demand, None, {f"link{i}": 1.0, "pool": 1.0})
+            for i in range(n_borrowers)
         ]
     else:
         # Borrowing: each pair has its own lender whose bus is far
@@ -41,10 +41,10 @@ def _per_borrower_gbs(n_borrowers: int, pooled: bool) -> float:
         for i in range(n_borrowers):
             capacities[f"lender_bus{i}"] = 1e12 / model.bus_interval
         flows = [
-            FlowSpec(f"b{i}", demand, (f"link{i}", f"lender_bus{i}"))
+            TimedFlow(f"b{i}", demand, None, {f"link{i}": 1.0, f"lender_bus{i}": 1.0})
             for i in range(n_borrowers)
         ]
-    alloc = solve_max_min_shares(flows, capacities)
+    alloc = max_min_rates(flows, capacities)
     lines_per_s = alloc["b0"]
     return lines_per_s * model.line_bytes / 1e9
 

@@ -241,7 +241,10 @@ class TransportConfig:
     :class:`~repro.errors.RetryExhausted`.  The receiver runs go-back-N
     (in-order delivery, out-of-order arrivals discarded) unless
     ``selective_repeat`` is set, in which case out-of-order packets are
-    buffered and only the missing one is resent.
+    buffered and only the missing one is resent.  Overload deadlines,
+    retry budgets and admission abandon sequence numbers, so
+    :class:`~repro.node.reliable.ReliableThymesisFlowSystem` rejects
+    them under go-back-N.
 
     ``timer_from_send`` selects where the retransmission timer arms:
     ``False`` (default) models the hardware NIC timer that starts at

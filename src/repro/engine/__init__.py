@@ -15,7 +15,7 @@ suite:
 """
 
 from repro.engine.des import DesPhaseDriver, InstanceResult, run_concurrent
-from repro.engine.fluid import FlowSpec, FluidEngine, solve_max_min_shares
+from repro.engine.fluid import FluidEngine, TimedFlow, max_min_rates
 from repro.engine.model import PathModel
 from repro.engine.phases import AccessPhase, Location, PhaseProgram
 
@@ -25,8 +25,8 @@ __all__ = [
     "PhaseProgram",
     "PathModel",
     "FluidEngine",
-    "FlowSpec",
-    "solve_max_min_shares",
+    "TimedFlow",
+    "max_min_rates",
     "DesPhaseDriver",
     "InstanceResult",
     "run_concurrent",

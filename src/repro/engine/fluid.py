@@ -13,10 +13,12 @@ dominates, and ``L0 + (n-1)*b`` for a small burst.  Steady-state
 sojourn follows Little's law, ``T_sojourn = C_eff * max(b, (L0+z)/C)``,
 which is what yields the paper's constant bandwidth-delay product.
 
-Multi-tenant contention (Figs. 6 and 7) is solved by max-min fair
-allocation of each shared resource's capacity across flows
-(:func:`solve_max_min_shares`), the fluid counterpart of the DES
-engine's FIFO interleaving.
+Multi-tenant contention (Figs. 6 and 7) is solved by weighted max-min
+fair allocation of each shared resource's capacity across flows
+(:func:`max_min_rates`), the fluid counterpart of the DES engine's FIFO
+interleaving.  :func:`solve_rate_timeline` re-solves the same
+allocation at every flow completion to give the hybrid engine its
+piecewise-constant background schedules.
 
 All sweep APIs accept NumPy arrays of PERIOD values and evaluate
 vectorized, per the project's HPC style guides.
@@ -37,9 +39,8 @@ from repro.sim.resources import RateSchedule
 from repro.units import Duration
 
 __all__ = [
-    "FlowSpec",
-    "solve_max_min_shares",
     "TimedFlow",
+    "max_min_rates",
     "FlowTimeline",
     "solve_rate_timeline",
     "FluidEngine",
@@ -48,90 +49,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FlowSpec:
-    """One traffic flow competing for shared resources.
-
-    Attributes
-    ----------
-    name:
-        Flow identifier.
-    demand:
-        Offered rate in lines/s (the rate the flow would sustain with
-        no contention).
-    resources:
-        Names of the shared resources the flow crosses.
-    """
-
-    name: str
-    demand: float
-    resources: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ConfigError(f"flow demand must be >= 0, got {self.demand}")
-        if not self.resources:
-            raise ConfigError(f"flow {self.name!r} must cross at least one resource")
-
-
-def solve_max_min_shares(
-    flows: Sequence[FlowSpec], capacities: Mapping[str, float]
-) -> Dict[str, float]:
-    """Max-min fair allocation of resource capacity to flows.
-
-    Classic progressive water-filling: repeatedly find the most
-    constrained resource, give every unfrozen flow crossing it an equal
-    share of its remaining capacity (never more than the flow's
-    demand), freeze those flows, and subtract.  Demand-limited flows
-    freeze at their demand first.
-
-    Returns ``{flow name: allocated rate}``.
-    """
-    for flow in flows:
-        for res in flow.resources:
-            if res not in capacities:
-                raise ConfigError(f"flow {flow.name!r} crosses unknown resource {res!r}")
-    remaining = {r: float(c) for r, c in capacities.items()}
-    alloc: Dict[str, float] = {}
-    active = {f.name: f for f in flows}
-
-    while active:
-        # Fair share offered by each resource to its unfrozen flows.
-        crossing: Dict[str, list[str]] = {}
-        for name, flow in active.items():
-            for res in flow.resources:
-                crossing.setdefault(res, []).append(name)
-        shares = {
-            res: remaining[res] / len(names) for res, names in crossing.items()
-        }
-        # Each flow's candidate rate: min share over its resources,
-        # capped by its demand.
-        candidate = {
-            name: min(
-                min(shares[res] for res in flow.resources), flow.demand
-            )
-            for name, flow in active.items()
-        }
-        # Freeze the flow(s) with the smallest candidate — either
-        # demand-limited or pinned by the tightest resource.
-        floor = min(candidate.values())
-        frozen = [name for name, rate in candidate.items() if rate <= floor + 1e-12]
-        for name in frozen:
-            flow = active.pop(name)
-            rate = candidate[name]
-            alloc[name] = rate
-            for res in flow.resources:
-                remaining[res] = max(0.0, remaining[res] - rate)
-    return alloc
-
-
-@dataclass(frozen=True)
 class TimedFlow:
-    """A finite-volume flow for the piecewise-constant timeline solver.
+    """A flow competing for shared resources.
 
-    Unlike :class:`FlowSpec`, a timed flow has a *volume* (total lines
-    to move) and per-resource *costs* (units consumed per line —
-    e.g. bytes on a link direction, one grant on the injector gate), so
-    heterogeneous flows can share a resource pool.
+    A flow has an optional *volume* (total lines to move) and
+    per-resource *costs* (units consumed per line — e.g. bytes on a
+    link direction, one grant on the injector gate), so heterogeneous
+    flows can share a resource pool.  Unit costs and equal weights give
+    the classic equal-split max-min allocation.
 
     Attributes
     ----------
@@ -176,7 +101,19 @@ class TimedFlow:
             raise ConfigError(f"flow weight must be > 0, got {self.weight}")
 
 
-def _max_min_rates(
+def _check_flows(flows: Sequence[TimedFlow], capacities: Mapping[str, float]) -> None:
+    """Reject duplicate flow names and flows crossing unknown resources."""
+    names = set()
+    for flow in flows:
+        if flow.name in names:
+            raise ConfigError(f"duplicate flow name {flow.name!r}")
+        names.add(flow.name)
+        for res in flow.costs:
+            if res not in capacities:
+                raise ConfigError(f"flow {flow.name!r} crosses unknown resource {res!r}")
+
+
+def max_min_rates(
     flows: Iterable[TimedFlow], capacities: Mapping[str, float]
 ) -> Dict[str, float]:
     """Weighted max-min rates (lines/s) for heterogeneous-cost flows.
@@ -185,9 +122,21 @@ def _max_min_rates(
     at ``weight * r``): a resource saturates when
     ``sum(cost_f * weight_f * r) == remaining``, freezing every flow
     that crosses it; demand-limited flows freeze at
-    ``r = demand / weight``.  With unit costs and equal weights this
-    reduces to :func:`solve_max_min_shares`.
+    ``r = demand / weight``.  With unit costs and equal weights this is
+    classic water-filling: every unfrozen flow on the tightest resource
+    gets an equal share of what remains.
+
+    Returns ``{flow name: allocated rate}``.  Raises
+    :class:`~repro.errors.ConfigError` on a duplicate flow name or a
+    flow crossing a resource missing from *capacities*.
     """
+    flows = tuple(flows)
+    _check_flows(flows, capacities)
+    return _fill(flows, capacities)
+
+
+def _fill(flows: Iterable[TimedFlow], capacities: Mapping[str, float]) -> Dict[str, float]:
+    """:func:`max_min_rates` without the input checks."""
     remaining = {r: float(c) for r, c in capacities.items()}
     alloc: Dict[str, float] = {}
     active = {f.name: f for f in flows}
@@ -280,21 +229,14 @@ def solve_rate_timeline(
     flows' rates are re-solved (the freed capacity redistributes), so
     the timeline is exact for piecewise-constant max-min dynamics.
     """
-    names = set()
-    for flow in flows:
-        if flow.name in names:
-            raise ConfigError(f"duplicate flow name {flow.name!r}")
-        names.add(flow.name)
-        for res in flow.costs:
-            if res not in capacities:
-                raise ConfigError(f"flow {flow.name!r} crosses unknown resource {res!r}")
+    _check_flows(flows, capacities)
     remaining = {f.name: float(f.volume) for f in flows if f.volume is not None}
     active = {f.name: f for f in flows}
     t = float(start_ps)
     segments: list[Tuple[float, Optional[float], Mapping[str, float]]] = []
     finish: Dict[str, float] = {}
     while any(name in remaining for name in active):
-        alloc = _max_min_rates(active.values(), capacities)
+        alloc = _fill(active.values(), capacities)
         for name in active:
             if name in remaining and alloc[name] <= 0.0:
                 raise ConfigError(f"flow {name!r} is starved and can never finish")
@@ -309,7 +251,7 @@ def solve_rate_timeline(
                 finish[name] = t_next
         t = t_next
     if active:  # open-ended flows keep the steady-state allocation
-        segments.append((t, None, _max_min_rates(active.values(), capacities)))
+        segments.append((t, None, _fill(active.values(), capacities)))
     return FlowTimeline(flows=tuple(flows), segments=tuple(segments), finish_ps=finish)
 
 
@@ -341,8 +283,7 @@ class FluidEngine:
         :meth:`with_period`.
     remote_share:
         Fraction (0, 1] of gate/link capacity available to this flow —
-        used to model contention computed by
-        :func:`solve_max_min_shares`.
+        used to model contention computed by :func:`max_min_rates`.
     lender_bus_share:
         Fraction of the lender memory bus available to this flow.
     """
@@ -495,13 +436,18 @@ class FluidEngine:
             "lender_bus": 1e12 / m.bus_interval,
         }
         flows = [
-            FlowSpec("remote", remote_demand_lines_per_s, ("gate", "link", "lender_bus"))
+            TimedFlow(
+                "remote",
+                remote_demand_lines_per_s,
+                None,
+                {"gate": 1.0, "link": 1.0, "lender_bus": 1.0},
+            )
         ]
         flows += [
-            FlowSpec(f"local{i}", local_demand_lines_per_s, ("lender_bus",))
+            TimedFlow(f"local{i}", local_demand_lines_per_s, None, {"lender_bus": 1.0})
             for i in range(n_local_flows)
         ]
-        return solve_max_min_shares(flows, capacities)
+        return max_min_rates(flows, capacities)
 
 
 def scaled_phase(phase: AccessPhase, factor: float) -> AccessPhase:

@@ -182,6 +182,7 @@ def _metastable_point(
             # under go-back-N an abandoned seq leaves a permanent gap at
             # the receiver and every later seq is discarded as
             # out-of-order — the transport wedges instead of recovering.
+            # ReliableThymesisFlowSystem rejects that combination.
             selective_repeat=True,
         )
     )

@@ -45,6 +45,7 @@ from repro.core.delay import DelaySchedule
 from repro.core.overload import OverloadConfig, OverloadControl
 from repro.core.overload.deadline import expired
 from repro.errors import (
+    ConfigError,
     DeadlineExceeded,
     OverloadError,
     OverloadShed,
@@ -83,7 +84,9 @@ class ReliableThymesisFlowSystem(ThymesisFlowSystem):
         the overload-control layer (transaction deadlines, retry
         budgets, admission/shedding, per-lender circuit breaker,
         hedged reads).  ``None`` (the default) keeps the datapath
-        bit-identical to a build without the layer.
+        bit-identical to a build without the layer.  Deadlines, retry
+        budgets and admission require ``selective_repeat`` transport;
+        with go-back-N they raise :class:`~repro.errors.ConfigError`.
     obs_label:
         Optional trace-process label (see the base class).
     """
@@ -99,6 +102,21 @@ class ReliableThymesisFlowSystem(ThymesisFlowSystem):
         overload: Optional[OverloadConfig] = None,
         obs_label: Optional[str] = None,
     ) -> None:
+        if not config.transport.selective_repeat and overload is not None and (
+            overload.deadline_ps is not None
+            or overload.retry_budget_ratio is not None
+            or overload.admission != "none"
+        ):
+            # Each of these can abandon a transaction after _next_seq()
+            # allocated its sequence number.  A go-back-N receiver then
+            # waits forever for the missing seq and discards every later
+            # one as out of order, so the run live-locks in
+            # retransmissions instead of failing.
+            raise ConfigError(
+                "overload deadlines, retry budgets and admission abandon "
+                "allocated sequence numbers and need selective-repeat "
+                "transport (TransportConfig(selective_repeat=True))"
+            )
         super().__init__(config, schedule=schedule, sim=sim, obs=obs, obs_label=obs_label)
         self.degraded_mode = degraded_mode
         self.fault_fwd = FaultModel(

@@ -142,9 +142,11 @@ class Observability:
         timeline.add_probe(
             "lender_bus_backlog_ps", lambda: max(0, bus.busy_until() - sim.now)
         )
-        # Mean number of transactions stalled at the injector gate over
-        # the row's interval (delta of summed wait time / elapsed).
-        timeline.rate_probe("injector_stall_frac", lambda: injector.waits.sum(), scale=1.0)
+        # Mean number of transactions waiting at the injector gate over
+        # the row's interval (delta of summed wait ps / elapsed ps).  A
+        # count, not a fraction: it exceeds 1 whenever several
+        # transactions queue at the gate at once.
+        timeline.rate_probe("injector_stalled_mean", lambda: injector.waits.sum(), scale=1.0)
         timeline.add_probe("events_processed", lambda: sim.events_processed)
         # Reliable-transport systems expose ARQ counters; base systems
         # don't have the attribute, and the probe costs them nothing.

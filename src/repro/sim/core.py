@@ -9,17 +9,6 @@ Determinism: events scheduled for the same simulated time fire in the
 order they were scheduled (the monotonically increasing sequence number
 breaks ties), so runs are exactly reproducible.
 
-Two queue backends share the dispatch contract (``kernel=`` selects):
-
-* **heap** (default) — the binary heap described above.
-* **calendar** — an array-based calendar queue: a ring of time buckets
-  covers the dense near-horizon, far-future events spill to a heap,
-  and each bucket is sorted once when the clock reaches it, so the
-  hot loop amortizes ordering across whole buckets instead of paying
-  ``log n`` per event.  Dispatch order is *identical* to the heap
-  kernel — both fire strictly by ``(time, seq)`` — so results are
-  byte-identical regardless of backend.
-
 Three hot-path optimizations, all invisible to callers:
 
 * **Same-time FIFO fast path** — an event scheduled for the *current*
@@ -45,7 +34,6 @@ import heapq
 import io
 import pickle
 import sys
-from bisect import insort
 from collections import deque
 from typing import Any, Callable, Mapping, Optional
 
@@ -119,171 +107,6 @@ def _noop(*_args: Any) -> None:
     return None
 
 
-class _CalendarQueue:
-    """Array-based calendar of future events (the ``calendar`` kernel).
-
-    A ring of ``n_buckets`` buckets, each ``width`` picoseconds wide,
-    covers the near horizon; events beyond it go to a spillover heap.
-    Buckets collect unsorted appends (O(1) per push) and are sorted
-    once, wholesale, when the drain position reaches them — the classic
-    calendar-queue amortization.  The bucket being drained is kept as a
-    sorted run; late arrivals into it (including into already-skipped
-    empty buckets) are merged by binary insertion, which preserves the
-    strict ``(time, seq)`` dispatch order of the heap kernel exactly.
-
-    Invariant: ``base`` (the absolute index of the bucket being
-    drained) never passes a non-empty ring slot, so every ring slot
-    holds events of exactly one absolute bucket index and a slot can be
-    sorted and drained as a unit.
-    """
-
-    __slots__ = (
-        "width",
-        "n_buckets",
-        "_slots",
-        "_base",
-        "_occ",
-        "_spill",
-        "_current",
-        "_idx",
-        "size",
-        "dropped_cancelled",
-    )
-
-    def __init__(self, width: int, n_buckets: int) -> None:
-        if width < 1 or n_buckets < 2:
-            raise SimulationError(
-                f"calendar needs width >= 1 and >= 2 buckets, "
-                f"got width={width}, n_buckets={n_buckets}"
-            )
-        self.width = int(width)
-        self.n_buckets = int(n_buckets)
-        self._slots: list[list[EventHandle]] = [[] for _ in range(self.n_buckets)]
-        self._base = 0  # absolute bucket index currently draining
-        #: Occupancy heap: absolute indices of (possibly stale) ring
-        #: slots that received a push while empty.  Lets ``_advance``
-        #: find the earliest occupied slot without scanning the ring.
-        self._occ: list[int] = []
-        self._spill: list[EventHandle] = []
-        self._current: list[EventHandle] = []  # sorted run of bucket _base
-        self._idx = 0  # next undispatched position in _current
-        self.size = 0  # live + lazily-cancelled entries held
-        #: Cancelled entries dropped at the frontier since the kernel
-        #: last reconciled its lazy-deletion counter.
-        self.dropped_cancelled = 0
-
-    def push(self, handle: EventHandle) -> None:
-        bucket = handle.time // self.width
-        base = self._base
-        if bucket <= base:
-            # Lands in (or before) the bucket being drained: merge into
-            # the remaining sorted run.  ``bucket < base`` happens when
-            # the drain position skipped empty buckets and a callback
-            # then scheduled into one of them — still >= now, so
-            # insertion keeps the run a correct sorted frontier.
-            insort(self._current, handle, lo=self._idx)
-        elif bucket - base < self.n_buckets:
-            slot = self._slots[bucket % self.n_buckets]
-            if not slot:
-                heapq.heappush(self._occ, bucket)
-            slot.append(handle)
-        else:
-            heapq.heappush(self._spill, handle)
-        self.size += 1
-
-    def _advance(self) -> bool:
-        """Move the drain position to the next occupied bucket.
-
-        Returns False when the calendar is empty.  The occupancy heap
-        (fed by ``push``) locates the earliest occupied ring slot in
-        O(log occupied) instead of scanning the ring — on sparse
-        timelines most slots are empty and a scan would dominate.
-        Entries are validated lazily: a slot may have been drained and
-        later refilled under a different absolute bucket index, which
-        the ``time // width`` check detects.  Spillover events that
-        belong to the chosen bucket are folded in and the union sorted
-        into the new current run.
-        """
-        if self.size == 0:
-            return False
-        n = self.n_buckets
-        slots = self._slots
-        occ = self._occ
-        next_abs: Optional[int] = None
-        while occ:
-            cand = occ[0]
-            slot = slots[cand % n]
-            if slot and slot[0].time // self.width == cand:
-                next_abs = cand
-                break
-            heapq.heappop(occ)  # stale: slot drained (and maybe refilled)
-        spill = self._spill
-        if spill:
-            spill_abs = spill[0].time // self.width
-            if next_abs is None or spill_abs < next_abs:
-                next_abs = spill_abs
-        if next_abs is None:  # pragma: no cover - size bookkeeping guards this
-            return False
-        if occ and occ[0] == next_abs:
-            heapq.heappop(occ)
-        run = slots[next_abs % n]
-        slots[next_abs % n] = []
-        while spill and spill[0].time // self.width == next_abs:
-            run.append(heapq.heappop(spill))
-        run.sort()
-        self._base = next_abs
-        self._current = run
-        self._idx = 0
-        return True
-
-    def peek_live(self) -> Optional[EventHandle]:
-        """Next live handle in (time, seq) order, without removing it.
-
-        Cancelled entries encountered at the frontier are dropped (the
-        caller's lazy-deletion accounting is handled in the kernel).
-        """
-        while True:
-            current, idx = self._current, self._idx
-            while idx < len(current):
-                head = current[idx]
-                if not head.cancelled:
-                    self._idx = idx
-                    return head
-                idx += 1
-                self.size -= 1
-                self.dropped_cancelled += 1
-            self._idx = idx
-            self._current = []
-            self._idx = 0
-            if not self._advance():
-                return None
-
-    def pop_live(self) -> Optional[EventHandle]:
-        """Remove and return the next live handle, or None if empty."""
-        head = self.peek_live()
-        if head is not None:
-            self._idx += 1
-            self.size -= 1
-        return head
-
-    def drain(self) -> list[EventHandle]:
-        """All held entries (live and lazily-cancelled), unordered."""
-        out = list(self._current[self._idx:])
-        for slot in self._slots:
-            out.extend(slot)
-        out.extend(self._spill)
-        return out
-
-    def clear(self) -> None:
-        for slot in self._slots:
-            slot.clear()
-        self._occ.clear()
-        self._spill.clear()
-        self._current = []
-        self._idx = 0
-        self.size = 0
-
-
 class Simulator:
     """Discrete-event simulator with an integer-picosecond clock.
 
@@ -291,15 +114,6 @@ class Simulator:
     ----------
     start_time:
         Initial value of the simulated clock (picoseconds).
-    kernel:
-        Event-queue backend: ``"heap"`` (default, binary heap) or
-        ``"calendar"`` (bucket-array calendar queue with heap
-        spillover; see :class:`_CalendarQueue`).  Dispatch order — and
-        therefore every simulation result — is identical either way.
-    calendar_bucket_ps / calendar_buckets:
-        Calendar geometry: bucket width in picoseconds and ring size.
-        The defaults cover a ~2 µs near-horizon, which spans the
-        testbed's unloaded round-trip; ignored by the heap kernel.
 
     Examples
     --------
@@ -315,22 +129,8 @@ class Simulator:
     5
     """
 
-    def __init__(
-        self,
-        start_time: Time = 0,
-        kernel: str = "heap",
-        calendar_bucket_ps: int = 4096,
-        calendar_buckets: int = 512,
-    ) -> None:
-        if kernel not in ("heap", "calendar"):
-            raise SimulationError(f"unknown kernel {kernel!r} (want 'heap' or 'calendar')")
+    def __init__(self, start_time: Time = 0) -> None:
         self._now: Time = start_time
-        self.kernel = kernel
-        self._calendar: Optional[_CalendarQueue] = (
-            _CalendarQueue(calendar_bucket_ps, calendar_buckets)
-            if kernel == "calendar"
-            else None
-        )
         self._heap: list[EventHandle] = []
         #: Events scheduled for the current instant (the same-time fast
         #: path).  Invariant: every entry's time equals ``_now`` — the
@@ -400,10 +200,7 @@ class Simulator:
         else:
             handle = EventHandle(self._now + delay, seq, callback, args, self)
         if delay:
-            if self._calendar is None:
-                heapq.heappush(self._heap, handle)
-            else:
-                self._calendar.push(handle)
+            heapq.heappush(self._heap, handle)
         else:
             self._fifo.append(handle)
         return handle
@@ -431,10 +228,7 @@ class Simulator:
         else:
             handle = EventHandle(time, seq, callback, args, self)
         if time > now:
-            if self._calendar is None:
-                heapq.heappush(self._heap, handle)
-            else:
-                self._calendar.push(handle)
+            heapq.heappush(self._heap, handle)
         else:
             self._fifo.append(handle)
         return handle
@@ -445,9 +239,7 @@ class Simulator:
     def _note_cancel(self) -> None:
         """Bookkeeping hook invoked by :meth:`EventHandle.cancel`."""
         self._cancelled_pending += 1
-        calendar = self._calendar
-        future = len(self._heap) if calendar is None else calendar.size
-        pending = future + len(self._fifo)
+        pending = len(self._heap) + len(self._fifo)
         if (
             self._cancelled_pending >= _COMPACT_MIN
             and self._cancelled_pending * 2 >= pending
@@ -460,17 +252,9 @@ class Simulator:
         Mutates the containers in place so hot loops holding local
         aliases keep seeing the live objects.
         """
-        calendar = self._calendar
-        if calendar is None:
-            heap = self._heap
-            heap[:] = [h for h in heap if not h.cancelled]
-            heapq.heapify(heap)
-        else:
-            live = [h for h in calendar.drain() if not h.cancelled]
-            calendar.clear()
-            for handle in live:
-                calendar.push(handle)
-            calendar.dropped_cancelled = 0
+        heap = self._heap
+        heap[:] = [h for h in heap if not h.cancelled]
+        heapq.heapify(heap)
         fifo = self._fifo
         if fifo:
             live = [h for h in fifo if not h.cancelled]
@@ -490,24 +274,17 @@ class Simulator:
         fifo = self._fifo
         pool = self._pool
         head: Optional[EventHandle] = None
-        calendar = self._calendar
-        if calendar is None:
-            heap = self._heap
-            while heap:
-                head = heap[0]
-                if not head.cancelled:
-                    break
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-                if len(pool) < _POOL_MAX and sys.getrefcount(head) == _UNREFERENCED:
-                    head._sim = None
-                    pool.append(head)
-                head = None
-        else:
-            head = calendar.peek_live()
-            if calendar.dropped_cancelled:
-                self._cancelled_pending -= calendar.dropped_cancelled
-                calendar.dropped_cancelled = 0
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head.cancelled:
+                break
+            heapq.heappop(heap)
+            self._cancelled_pending -= 1
+            if len(pool) < _POOL_MAX and sys.getrefcount(head) == _UNREFERENCED:
+                head._sim = None
+                pool.append(head)
+            head = None
         while fifo:
             front = fifo[0]
             if not front.cancelled:
@@ -529,8 +306,6 @@ class Simulator:
         fifo = self._fifo
         if fifo and fifo[0] is handle:
             fifo.popleft()
-        elif self._calendar is not None:
-            self._calendar.pop_live()
         else:
             heapq.heappop(self._heap)
         return handle
@@ -590,8 +365,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if self._calendar is not None:
-            return self._run_calendar(until, max_events)
         self._running = True
         # The dispatch loop is the hottest path in the whole simulator:
         # everything is bound to locals and the next-event selection is
@@ -669,81 +442,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def _run_calendar(
-        self,
-        until: Optional[Time],
-        max_events: Optional[int],
-    ) -> Time:
-        """The dispatch loop of the calendar kernel (same contract as run).
-
-        Next-event selection asks the calendar for its live frontier —
-        which amortizes ordering across whole buckets — and otherwise
-        mirrors the heap loop exactly: same FIFO interplay, same
-        tie-break (bucket entries at time ``t`` are older than
-        same-time FIFO entries), same budget and ``until`` semantics.
-        """
-        self._running = True
-        fired = 0
-        budget = -1 if max_events is None else max_events
-        calendar = self._calendar
-        assert calendar is not None
-        fifo = self._fifo
-        pool = self._pool
-        getrefcount = sys.getrefcount
-        try:
-            while True:
-                # -- select the next live handle ------------------------
-                handle = calendar.peek_live()
-                if calendar.dropped_cancelled:
-                    self._cancelled_pending -= calendar.dropped_cancelled
-                    calendar.dropped_cancelled = 0
-                from_fifo = False
-                while fifo:
-                    front = fifo[0]
-                    if not front.cancelled:
-                        if handle is None or front.time < handle.time:
-                            handle = front
-                            from_fifo = True
-                        break
-                    fifo.popleft()
-                    self._cancelled_pending -= 1
-                    if len(pool) < _POOL_MAX and getrefcount(front) == _UNREFERENCED:
-                        front._sim = None
-                        pool.append(front)
-                front = None
-                if handle is None:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and handle.time > until:
-                    self._now = until
-                    break
-                if fired == budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway simulation?)"
-                    )
-                if from_fifo:
-                    fifo.popleft()
-                else:
-                    calendar.pop_live()
-                # -- dispatch ------------------------------------------
-                self._now = handle.time
-                self._event_count += 1
-                handle._sim = None
-                observer = self._observer
-                if observer is None:
-                    handle.callback(*handle.args)
-                else:
-                    observer.on_event(self, handle)
-                fired += 1
-                if len(pool) < _POOL_MAX and getrefcount(handle) == _UNREFERENCED:
-                    handle.callback = _noop
-                    handle.args = ()
-                    pool.append(handle)
-        finally:
-            self._running = False
-        return self._now
-
     def peek(self) -> Optional[Time]:
         """Time of the next pending event, or None if the queue is empty."""
         handle = self._peek_live()
@@ -778,12 +476,7 @@ class Simulator:
         if self._running:
             raise CheckpointError("cannot snapshot while run() is active")
         entries: list[tuple[str, Time, int, Callable[..., None], tuple[Any, ...]]] = []
-        # Future events are tagged "heap" regardless of kernel: the
-        # calendar is an internal layout, not simulated state, so blobs
-        # are byte-identical across kernels and freely portable between
-        # them.
-        future = list(self._heap) if self._calendar is None else self._calendar.drain()
-        for where, handles in (("heap", future), ("fifo", list(self._fifo))):
+        for where, handles in (("heap", self._heap), ("fifo", self._fifo)):
             for handle in handles:
                 if not handle.cancelled:
                     entries.append(
@@ -865,17 +558,8 @@ class Simulator:
         self._now = now
         self._seq = seq
         self._event_count = event_count
-        if self._calendar is not None:
-            self._calendar.clear()
-            # Re-anchor the drain position at the restored clock so the
-            # ring covers the restored near-horizon.
-            self._calendar._base = now // self._calendar.width
-            for handle in heap:
-                self._calendar.push(handle)
-            self._heap.clear()
-        else:
-            heapq.heapify(heap)
-            self._heap[:] = heap
+        heapq.heapify(heap)
+        self._heap[:] = heap
         self._fifo.clear()
         self._fifo.extend(fifo)
         self._pool.clear()

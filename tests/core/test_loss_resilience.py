@@ -6,11 +6,13 @@ import pytest
 
 from repro.calibration import paper_cluster_config
 from repro.config import FaultConfig, TransportConfig
+from repro.core.overload import OverloadConfig
 from repro.core.resilience import (
     HostCrash,
     default_loss_ladder,
     loss_resilience_sweep,
 )
+from repro.errors import ConfigError
 from repro.node import ReliableThymesisFlowSystem, ThymesisFlowSystem
 
 
@@ -131,6 +133,46 @@ class TestLossRecovery:
             return system.transport.stats.as_dict()
 
         assert counts() == counts()
+
+
+class TestOverloadNeedsSelectiveRepeat:
+    """Protections that abandon an allocated sequence number would leave
+    a go-back-N receiver waiting forever for it, so the build refuses."""
+
+    @staticmethod
+    def build(selective_repeat, overload):
+        config = paper_cluster_config(seed=1234).with_transport(
+            TransportConfig(max_retries=8, selective_repeat=selective_repeat)
+        )
+        return ReliableThymesisFlowSystem(config, faults_armed=False, overload=overload)
+
+    @pytest.mark.parametrize(
+        "overload",
+        [
+            OverloadConfig(deadline_ps=40_000_000),
+            OverloadConfig(retry_budget_ratio=0.01, retry_budget_burst=1),
+            OverloadConfig(admission="queue", admission_target_ps=6_000_000),
+        ],
+        ids=["deadline", "retry-budget", "admission"],
+    )
+    def test_go_back_n_with_abandoning_protection_rejected(self, overload):
+        with pytest.raises(ConfigError, match="selective"):
+            self.build(selective_repeat=False, overload=overload)
+
+    def test_go_back_n_without_overload_builds(self):
+        system = self.build(selective_repeat=False, overload=None)
+        assert not system.overload.enabled
+
+    def test_selective_repeat_with_overload_builds(self):
+        overload = OverloadConfig(
+            deadline_ps=40_000_000,
+            retry_budget_ratio=0.01,
+            retry_budget_burst=1,
+            admission="queue",
+            admission_target_ps=6_000_000,
+        )
+        system = self.build(selective_repeat=True, overload=overload)
+        assert system.overload.enabled
 
 
 class TestCrashAndDegrade:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import BDP_BYTES, T_CYC_PS, paper_cluster_config
-from repro.engine import AccessPhase, FlowSpec, FluidEngine, Location, PhaseProgram
-from repro.engine.fluid import solve_max_min_shares
+from repro.engine import AccessPhase, FluidEngine, Location, PhaseProgram, TimedFlow, max_min_rates
 from repro.errors import ConfigError
 
 
@@ -28,25 +27,28 @@ def phase(n=1000, c=128, wf=0.0, loc=Location.REMOTE, z=0, compute=0, reps=1):
     )
 
 
+def unit_flow(name, demand, resources):
+    """An open-ended, equal-weight flow costing one unit per line."""
+    return TimedFlow(name, demand, None, {res: 1.0 for res in resources})
+
+
 class TestMaxMinSolver:
     def test_single_flow_demand_limited(self):
-        alloc = solve_max_min_shares(
-            [FlowSpec("a", demand=5.0, resources=("r",))], {"r": 100.0}
-        )
+        alloc = max_min_rates([unit_flow("a", demand=5.0, resources=("r",))], {"r": 100.0})
         assert alloc["a"] == pytest.approx(5.0)
 
     def test_equal_split_when_all_greedy(self):
-        flows = [FlowSpec(f"f{i}", demand=1e9, resources=("r",)) for i in range(4)]
-        alloc = solve_max_min_shares(flows, {"r": 100.0})
+        flows = [unit_flow(f"f{i}", demand=1e9, resources=("r",)) for i in range(4)]
+        alloc = max_min_rates(flows, {"r": 100.0})
         assert all(v == pytest.approx(25.0) for v in alloc.values())
 
     def test_small_flow_surplus_redistributed(self):
         flows = [
-            FlowSpec("small", demand=10.0, resources=("r",)),
-            FlowSpec("big1", demand=1e9, resources=("r",)),
-            FlowSpec("big2", demand=1e9, resources=("r",)),
+            unit_flow("small", demand=10.0, resources=("r",)),
+            unit_flow("big1", demand=1e9, resources=("r",)),
+            unit_flow("big2", demand=1e9, resources=("r",)),
         ]
-        alloc = solve_max_min_shares(flows, {"r": 100.0})
+        alloc = max_min_rates(flows, {"r": 100.0})
         assert alloc["small"] == pytest.approx(10.0)
         assert alloc["big1"] == pytest.approx(45.0)
         assert alloc["big2"] == pytest.approx(45.0)
@@ -54,16 +56,16 @@ class TestMaxMinSolver:
     def test_multi_resource_bottleneck(self):
         # flow a crosses both; r2 is tighter.
         flows = [
-            FlowSpec("a", demand=1e9, resources=("r1", "r2")),
-            FlowSpec("b", demand=1e9, resources=("r1",)),
+            unit_flow("a", demand=1e9, resources=("r1", "r2")),
+            unit_flow("b", demand=1e9, resources=("r1",)),
         ]
-        alloc = solve_max_min_shares(flows, {"r1": 100.0, "r2": 20.0})
+        alloc = max_min_rates(flows, {"r1": 100.0, "r2": 20.0})
         assert alloc["a"] == pytest.approx(20.0)
         assert alloc["b"] == pytest.approx(80.0)
 
     def test_unknown_resource_raises(self):
         with pytest.raises(ConfigError):
-            solve_max_min_shares([FlowSpec("a", 1.0, ("ghost",))], {"r": 1.0})
+            max_min_rates([unit_flow("a", 1.0, ("ghost",))], {"r": 1.0})
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -71,8 +73,8 @@ class TestMaxMinSolver:
         capacity=st.floats(min_value=1.0, max_value=1e6),
     )
     def test_property_feasible_and_demand_capped(self, demands, capacity):
-        flows = [FlowSpec(f"f{i}", d, ("r",)) for i, d in enumerate(demands)]
-        alloc = solve_max_min_shares(flows, {"r": capacity})
+        flows = [unit_flow(f"f{i}", d, ("r",)) for i, d in enumerate(demands)]
+        alloc = max_min_rates(flows, {"r": capacity})
         total = sum(alloc.values())
         assert total <= capacity * (1 + 1e-9) or total <= sum(demands) * (1 + 1e-9)
         for flow in flows:

@@ -79,6 +79,17 @@ class TestArtifacts:
         assert checked == len(obs.tracer.requests)
         assert mismatched == 0
 
+    def test_injector_stall_column_is_a_mean_count(self, traced):
+        # The gate-wait probe reports how many transactions wait at the
+        # injector on average over a row; a saturated window queues
+        # dozens at once, so its value is a count, not a fraction.
+        _, obs = traced
+        samples = [row for row in obs.timeline.rows if row["kind"] == "sample"]
+        assert not any("injector_stall_frac" in row for row in samples)
+        stalled = [row["injector_stalled_mean"] for row in samples]
+        assert min(stalled) >= 0
+        assert max(stalled) > 1
+
     def test_one_process_per_sweep_point(self, traced):
         result, obs = traced
         assert len(obs.tracer._processes) == len(result.rows)

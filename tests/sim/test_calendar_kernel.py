@@ -1,11 +1,11 @@
-"""Calendar-queue kernel: dispatch-order equivalence with the heap
-kernel, cancel accounting, and snapshot/restore bit-identity."""
+"""Event-kernel checks on mixed near/far-future timelines.
 
-import random
+The workloads here interleave events a few nanoseconds apart with
+events microseconds away (the spread a bucketed calendar queue would
+split between its ring and its spillover tier).  They pin same-time
+FIFO dispatch and snapshot/restore bit-identity on such timelines.
+"""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim.core import Simulator
 
 
@@ -14,127 +14,33 @@ def _append(log, tag):
     log.append(tag)
 
 
-def _drive_random(kernel, seed=7, nsamples=3000):
-    """A self-extending event storm touching every queue tier.
-
-    Callbacks schedule follow-ups at delays that land in the current
-    bucket (0/1 ps), elsewhere in the ring (one/two bucket widths), and
-    far beyond the near horizon (spillover), with a 30% chance of
-    cancelling a random pending handle.  Returns the (time, tag)
-    dispatch sequence.
-    """
-    rng = random.Random(seed)
-    sim = Simulator(kernel=kernel, calendar_bucket_ps=4096, calendar_buckets=512)
-    fired = []
-    handles = []
-
-    def cb(tag):
-        fired.append((sim.now, tag))
-        if len(fired) >= nsamples:
-            return
-        for _ in range(rng.randint(0, 3)):
-            dt = rng.choice([0, 1, 5, 4096, 8192, 300_000, 5_000_000])
-            handles.append(sim.schedule(dt, cb, len(fired)))
-            if rng.random() < 0.3:
-                handles[rng.randrange(len(handles))].cancel()
-
-    for i in range(50):
-        handles.append(sim.schedule(rng.randrange(0, 10_000_000), cb, -i))
-    sim.run()
-    return fired, sim
-
-
 class TestDispatchEquivalence:
-    def test_random_storm_orders_identically(self):
-        a, sim_a = _drive_random("heap")
-        b, sim_b = _drive_random("calendar")
-        assert a == b
-        assert sim_a.now == sim_b.now
-        assert sim_a.events_processed == sim_b.events_processed
-
     def test_same_time_fifo_preserved(self):
         # Many events at one timestamp must dispatch in schedule order.
-        sim = Simulator(kernel="calendar")
+        sim = Simulator()
         log = []
         for i in range(100):
             sim.schedule(500, _append, log, i)
         sim.run()
         assert log == list(range(100))
 
-    def test_callback_scheduling_into_skipped_bucket(self):
-        # The drain position may skip empty buckets; a callback that
-        # then schedules into one of them must still fire in order.
-        sim = Simulator(kernel="calendar", calendar_bucket_ps=100, calendar_buckets=8)
-        log = []
-
-        def first():
-            # now=950 (bucket 9); schedule into bucket 9 again and the
-            # already-passed-looking bucket boundary right after.
-            sim.schedule(10, _append, log, "near")
-            sim.schedule(1, _append, log, "nearer")
-
-        sim.schedule(950, first)
-        sim.schedule(2000, _append, log, "far")
-        sim.run()
-        assert log == ["nearer", "near", "far"]
-
-    def test_cancel_heavy_storm_matches_heap(self):
-        def drive(kernel):
-            sim = Simulator(kernel=kernel)
-            log = []
-            handles = [sim.schedule(10 * i, _append, log, i) for i in range(400)]
-            for h in handles[::2]:
-                h.cancel()
-            # Cancel enough to trigger the kernel's lazy compaction.
-            sim.run()
-            return log, sim.events_processed
-
-        heap_log, heap_events = drive("heap")
-        cal_log, cal_events = drive("calendar")
-        assert cal_log == heap_log == list(range(1, 400, 2))
-        assert cal_events == heap_events
-
-    def test_geometry_validated(self):
-        with pytest.raises(SimulationError):
-            Simulator(kernel="calendar", calendar_bucket_ps=0)
-        with pytest.raises(SimulationError):
-            Simulator(kernel="calendar", calendar_buckets=1)
-
 
 class TestCalendarSnapshot:
-    def _partial_run(self, kernel):
-        sim = Simulator(kernel=kernel)
+    def _partial_run(self):
+        sim = Simulator()
         log = []
         for i in range(12):
-            # Mix ring residents (small times) and spillover (huge).
+            # Mix near events (small times) and far-future ones (huge).
             sim.schedule(i * 1_000 + (5_000_000 if i % 3 == 0 else 0), _append, log, i)
         sim.run(until=4_500)
         return sim, log
 
     def test_restore_then_run_is_bit_identical(self):
-        sim1, log1 = self._partial_run("calendar")
+        sim1, log1 = self._partial_run()
         blob = sim1.snapshot(roots={"log": log1})
         sim1.run()
 
-        sim2 = Simulator(kernel="calendar")
-        roots = sim2.restore(blob)
-        sim2.run()
-        assert roots["log"] == log1
-        assert sim2.now == sim1.now
-        assert sim2.events_processed == sim1.events_processed
-
-    @pytest.mark.parametrize(
-        "src_kernel,dst_kernel",
-        [("calendar", "heap"), ("heap", "calendar")],
-    )
-    def test_snapshot_portable_across_kernels(self, src_kernel, dst_kernel):
-        # The blob format is kernel-neutral: a calendar snapshot restores
-        # into a heap kernel (and vice versa) with identical results.
-        sim1, log1 = self._partial_run(src_kernel)
-        blob = sim1.snapshot(roots={"log": log1})
-        sim1.run()
-
-        sim2 = Simulator(kernel=dst_kernel)
+        sim2 = Simulator()
         roots = sim2.restore(blob)
         sim2.run()
         assert roots["log"] == log1
@@ -142,9 +48,9 @@ class TestCalendarSnapshot:
         assert sim2.events_processed == sim1.events_processed
 
     def test_post_restore_scheduling_continues_sequence(self):
-        sim1, log1 = self._partial_run("calendar")
+        sim1, log1 = self._partial_run()
         blob = sim1.snapshot(roots={"log": log1})
-        sim2 = Simulator(kernel="calendar")
+        sim2 = Simulator()
         roots = sim2.restore(blob)
         sim2.schedule(0, _append, roots["log"], "late")
         sim2.run()

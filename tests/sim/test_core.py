@@ -1,5 +1,7 @@
 """Unit tests for the event queue and simulation clock."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -454,3 +456,77 @@ class TestLazyCompaction:
         for handle in handles:
             handle.cancel()
         assert sim._cancelled_pending < len(handles)
+
+
+# ----------------------------------------------------------------------
+# Randomized oracle: a self-extending storm of schedules and cancels.
+# ----------------------------------------------------------------------
+class _DispatchLog:
+    """Observer recording the ``(time, seq)`` of every fired handle."""
+
+    def __init__(self):
+        self.order = []
+
+    def on_event(self, sim, handle):
+        self.order.append((handle.time, handle.seq))
+        handle.callback(*handle.args)
+
+
+class TestRandomStorm:
+    def _drive(self, seed, nsamples=3000):
+        """Callbacks schedule follow-ups at 0/1/5 ps (same instant and
+        next tick), 4096/8192 ps, and far-future delays, cancelling a
+        random earlier handle 30% of the time.  Returns the dispatch
+        log, the fired tags, the number of handles scheduled (tags are
+        ``0..n-1``) and the tags whose cancel landed before they fired."""
+        rng = random.Random(seed)
+        sim = Simulator()
+        log = _DispatchLog()
+        sim.set_observer(log)
+        fired = []
+        handles = []  # (tag, handle); retained, so never recycled
+        cancelled = set()
+
+        def schedule(delay):
+            tag = len(handles)
+            handles.append((tag, sim.schedule(delay, cb, tag)))
+
+        def cb(tag):
+            fired.append(tag)
+            if len(fired) >= nsamples:
+                return
+            for _ in range(rng.randint(0, 3)):
+                schedule(rng.choice([0, 1, 5, 4096, 8192, 300_000, 5_000_000]))
+                if rng.random() < 0.3:
+                    victim, handle = handles[rng.randrange(len(handles))]
+                    if victim not in fired:
+                        cancelled.add(victim)
+                    handle.cancel()
+
+        for _ in range(50):
+            schedule(rng.randrange(0, 10_000_000))
+        sim.run()
+        return log.order, fired, len(handles), cancelled
+
+    @pytest.mark.parametrize("seed", [7, 11, 2024])
+    def test_dispatch_sorted_and_cancels_honoured(self, seed):
+        order, fired, n_scheduled, cancelled = self._drive(seed)
+        assert cancelled, "storm must exercise cancellation"
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
+        # A cancelled handle's callback is a no-op, so a cancelled entry
+        # that got dispatched would show in the log but not in fired.
+        assert len(order) == len(fired)
+        assert not cancelled & set(fired)
+        assert sorted(fired) == sorted(set(range(n_scheduled)) - cancelled)
+
+    def test_cancel_heavy_run_compacts_and_fires_live_half(self):
+        sim = Simulator()
+        log = []
+        handles = [sim.schedule(10 * i, log.append, i) for i in range(400)]
+        for handle in handles[::2]:
+            handle.cancel()
+        assert len(sim._heap) + len(sim._fifo) < len(handles)  # compacted
+        sim.run()
+        assert log == list(range(1, 400, 2))
+        assert sim.events_processed == 200

@@ -103,7 +103,7 @@ class BandwidthServer:
         """
         start = at if at > self._next_free else self._next_free
         if self._background is None:
-            duration = self.service_time(nbytes)
+            duration = transfer_time_ps(nbytes, self.rate)
         else:
             duration = self._background.finish_time(start, nbytes, self.rate) - start
         finish = start + duration

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ChecksumError, ProtocolError
 
-__all__ = ["PacketKind", "Packet", "HEADER_BYTES"]
+__all__ = ["PacketKind", "Packet", "HEADER_BYTES", "response_kind", "wire_bytes_for"]
 
 
 class PacketKind(enum.IntEnum):
@@ -38,6 +38,29 @@ _HEADER_STRUCT = struct.Struct(">HBBHHQQLL")
 _MAGIC = 0x7F1A
 HEADER_BYTES = _HEADER_STRUCT.size
 assert HEADER_BYTES == 32
+
+#: Request kind -> the packet kind that answers it.
+_RESPONSE_KIND = {
+    PacketKind.READ_REQ: PacketKind.READ_RESP,
+    PacketKind.WRITE_REQ: PacketKind.WRITE_ACK,
+    PacketKind.PROBE: PacketKind.PROBE_ACK,
+}
+
+#: Kinds whose payload rides on the wire (write request, read response).
+_DATA_KINDS = (PacketKind.WRITE_REQ, PacketKind.READ_RESP)
+
+
+def response_kind(kind: PacketKind) -> PacketKind:
+    """The packet kind that answers a *kind* request."""
+    answer = _RESPONSE_KIND.get(kind)
+    if answer is None:
+        raise ProtocolError(f"{kind.name} is not a request kind")
+    return answer
+
+
+def wire_bytes_for(kind: PacketKind, size: int) -> int:
+    """On-wire size of a *kind* packet with a *size*-byte payload."""
+    return HEADER_BYTES + (size if kind in _DATA_KINDS else 0)
 
 
 @dataclass
@@ -71,23 +94,16 @@ class Packet:
     @property
     def carries_data(self) -> bool:
         """True if the payload rides on the wire (write req / read resp)."""
-        return self.kind in (PacketKind.WRITE_REQ, PacketKind.READ_RESP)
+        return self.kind in _DATA_KINDS
 
     @property
     def wire_bytes(self) -> int:
         """Total on-wire size: header plus payload when data is carried."""
-        return HEADER_BYTES + (self.size if self.carries_data else 0)
+        return wire_bytes_for(self.kind, self.size)
 
     def response_kind(self) -> PacketKind:
         """The packet kind that answers this request."""
-        mapping = {
-            PacketKind.READ_REQ: PacketKind.READ_RESP,
-            PacketKind.WRITE_REQ: PacketKind.WRITE_ACK,
-            PacketKind.PROBE: PacketKind.PROBE_ACK,
-        }
-        if self.kind not in mapping:
-            raise ProtocolError(f"{self.kind.name} is not a request kind")
-        return mapping[self.kind]
+        return response_kind(self.kind)
 
     def make_response(self) -> "Packet":
         """Build the response packet for this request (src/dst swapped)."""

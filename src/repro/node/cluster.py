@@ -28,7 +28,7 @@ from repro.core.delay import DelayInjector, DelaySchedule
 from repro.errors import AttachError, LinkDetectionTimeout
 from repro.net.link import DuplexLink
 from repro.nic.mux import Multiplexer, TrafficClass
-from repro.nic.packet import HEADER_BYTES, Packet, PacketKind
+from repro.nic.packet import HEADER_BYTES, PacketKind, response_kind, wire_bytes_for
 from repro.nic.router import Route, Router
 from repro.nic.timeout import DetectionWatchdog
 from repro.nic.translation import WindowMapping, WindowTranslator
@@ -256,14 +256,9 @@ class ThymesisFlowSystem:
         del token_holder
         issue = sim.now
 
-        request = Packet(
-            kind=kind,
-            src=0,
-            dst=1,
-            seq=self._next_seq(),
-            addr=addr,
-            size=payload_bytes,
-        )
+        # No Packet is built on this path: the wire sizes follow from
+        # the kind and payload alone, and only the seq is recorded.
+        seq = self._next_seq()
 
         # Attribution needs resource-idle snapshots *before* each
         # reservation: the gap between a reservation's start and the
@@ -276,7 +271,7 @@ class ThymesisFlowSystem:
         grant = yield from self._admit(valid_at, traffic_class)
         fwd_busy = self.link.forward.busy_until() if blaming else 0
         # Mux + packetize + serialize onto the wire.
-        arrive_lender = self._leg_to_lender(request.wire_bytes, grant)
+        arrive_lender = self._leg_to_lender(wire_bytes_for(kind, payload_bytes), grant)
 
         # Wait until the request is at the lender before touching the
         # lender's (shared) memory bus, so cross-traffic ordering there
@@ -291,9 +286,9 @@ class ThymesisFlowSystem:
             self.translator.translate(addr)  # faults surface here
             t = self.lender.dram.access(self._line, t, write=write)
 
-        response = request.make_response()
+        response_bytes = wire_bytes_for(response_kind(kind), payload_bytes)
         rev_busy = self.link.reverse.busy_until() if blaming else 0
-        arrive_back = self._leg_to_borrower(response.wire_bytes, t)
+        arrive_back = self._leg_to_borrower(response_bytes, t)
         complete = arrive_back + self._ingress_latency
         if complete > sim.now:
             yield Timeout(sim, complete - sim.now)
@@ -308,7 +303,7 @@ class ThymesisFlowSystem:
             self.stats.count("remote.payload_bytes", self._line)
             if self.obs.enabled:
                 self._record_request(
-                    request.seq,
+                    seq,
                     t_request,
                     issue,
                     valid_at,

@@ -47,12 +47,19 @@ class MemoryWindow:
 
     def acquire(self) -> Waitable:
         """Claim a window slot (blocks the caller when the window is full)."""
+        slots = self._slots
+        req = slots.acquire()
+        if req.triggered:
+            # Granted at once: record it here, with no wait.
+            if slots.in_use > self.peak_occupancy:
+                self.peak_occupancy = slots.in_use
+            self.wait_hist.record(0)
+            return req
         requested_at = self.sim.now
-        req = self._slots.acquire()
 
         def _track(_w: Waitable) -> None:
-            if self._slots.in_use > self.peak_occupancy:
-                self.peak_occupancy = self._slots.in_use
+            if slots.in_use > self.peak_occupancy:
+                self.peak_occupancy = slots.in_use
             self.wait_hist.record(self.sim.now - requested_at)
 
         req.add_callback(_track)

@@ -1,16 +1,20 @@
 """Event queue and simulation clock.
 
 The kernel is callback-based at the bottom: :class:`Simulator` owns a
-binary heap of :class:`EventHandle` entries (ordered by ``(time, seq)``)
-and fires each handle's callback at its scheduled time.  Processes and
+binary heap of ``(time, seq, handle)`` entries and fires each
+:class:`EventHandle`'s callback at its scheduled time.  Processes and
 waitables (:mod:`repro.sim.process`) are built on top of this primitive.
 
 Determinism: events scheduled for the same simulated time fire in the
 order they were scheduled (the monotonically increasing sequence number
 breaks ties), so runs are exactly reproducible.
 
-Three hot-path optimizations, all invisible to callers:
+Four hot-path optimizations, all invisible to callers:
 
+* **Tuple heap entries** — the heap holds ``(time, seq, handle)``
+  tuples, so ``heapq`` orders them with C-level int comparisons (no
+  Python ``__lt__`` per sift step).  ``seq`` is unique, so a comparison
+  never reaches the handle.
 * **Same-time FIFO fast path** — an event scheduled for the *current*
   instant (``delay == 0``) goes to a plain deque instead of the heap.
   Ordering is preserved because every heap entry at time ``t`` was
@@ -22,10 +26,10 @@ Three hot-path optimizations, all invisible to callers:
   recycled when the kernel holds the last reference (checked with
   ``sys.getrefcount``), so a handle retained by calling code is never
   reused under it and late ``cancel()`` calls stay harmless no-ops.
-* **Lazy-deletion compaction** — ``cancel()`` marks the entry and the
-  queues drop it when popped; when cancelled entries exceed half the
-  queue (and a minimum count), the heap is rebuilt without them so a
-  cancel-heavy workload cannot grow the heap unboundedly.
+* **Lazy-deletion compaction** — ``cancel()`` marks the handle and the
+  queues drop its entry when popped; when cancelled entries exceed half
+  the queue (and a minimum count), the heap is rebuilt without them so
+  a cancel-heavy workload cannot grow the heap unboundedly.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ _POOL_MAX = 1024
 _COMPACT_MIN = 64
 
 #: Reference count of a handle the kernel alone still holds: one local
-#: variable plus ``sys.getrefcount``'s own argument reference.
+#: variable plus ``sys.getrefcount``'s own argument reference (a popped
+#: heap entry tuple is already released when the count is taken).
 _UNREFERENCED = 2
 
 
@@ -95,9 +100,6 @@ class EventHandle:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time}, seq={self.seq}, {state})"
@@ -131,7 +133,7 @@ class Simulator:
 
     def __init__(self, start_time: Time = 0) -> None:
         self._now: Time = start_time
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[Time, int, EventHandle]] = []
         #: Events scheduled for the current instant (the same-time fast
         #: path).  Invariant: every entry's time equals ``_now`` — the
         #: clock cannot advance while the deque is non-empty because
@@ -200,7 +202,7 @@ class Simulator:
         else:
             handle = EventHandle(self._now + delay, seq, callback, args, self)
         if delay:
-            heapq.heappush(self._heap, handle)
+            heapq.heappush(self._heap, (handle.time, seq, handle))
         else:
             self._fifo.append(handle)
         return handle
@@ -228,7 +230,7 @@ class Simulator:
         else:
             handle = EventHandle(time, seq, callback, args, self)
         if time > now:
-            heapq.heappush(self._heap, handle)
+            heapq.heappush(self._heap, (time, seq, handle))
         else:
             self._fifo.append(handle)
         return handle
@@ -253,7 +255,7 @@ class Simulator:
         aliases keep seeing the live objects.
         """
         heap = self._heap
-        heap[:] = [h for h in heap if not h.cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         fifo = self._fifo
         if fifo:
@@ -276,7 +278,7 @@ class Simulator:
         head: Optional[EventHandle] = None
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][2]
             if not head.cancelled:
                 break
             heapq.heappop(heap)
@@ -381,7 +383,9 @@ class Simulator:
                 # -- select the next live handle ------------------------
                 handle = None
                 while heap:
-                    handle = heap[0]
+                    # Unpacked in place: the entry tuple itself is never
+                    # held, so popping it leaves the handle unreferenced.
+                    when, _, handle = heap[0]
                     if not handle.cancelled:
                         break
                     heappop(heap)
@@ -396,8 +400,9 @@ class Simulator:
                     if not front.cancelled:
                         # Same-time heap entries are older (smaller seq)
                         # and must fire first; see _peek_live.
-                        if handle is None or front.time < handle.time:
+                        if handle is None or front.time < when:
                             handle = front
+                            when = front.time
                             from_fifo = True
                         break
                     fifo.popleft()
@@ -410,7 +415,7 @@ class Simulator:
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                if until is not None and handle.time > until:
+                if until is not None and when > until:
                     self._now = until
                     break
                 # Check the budget before firing: exactly max_events
@@ -425,7 +430,7 @@ class Simulator:
                 else:
                     heappop(heap)
                 # -- dispatch ------------------------------------------
-                self._now = handle.time
+                self._now = when
                 self._event_count += 1
                 handle._sim = None
                 observer = self._observer
@@ -476,7 +481,8 @@ class Simulator:
         if self._running:
             raise CheckpointError("cannot snapshot while run() is active")
         entries: list[tuple[str, Time, int, Callable[..., None], tuple[Any, ...]]] = []
-        for where, handles in (("heap", self._heap), ("fifo", self._fifo)):
+        heap_handles = [entry[2] for entry in self._heap]
+        for where, handles in (("heap", heap_handles), ("fifo", self._fifo)):
             for handle in handles:
                 if not handle.cancelled:
                     entries.append(
@@ -550,11 +556,14 @@ class Simulator:
             event_count, entries = state["event_count"], state["entries"]
         except Exception as exc:
             raise CheckpointError(f"unreadable simulator snapshot: {exc}") from exc
-        heap: list[EventHandle] = []
+        heap: list[tuple[Time, int, EventHandle]] = []
         fifo: list[EventHandle] = []
         for where, time, eseq, callback, args in entries:
             handle = EventHandle(time, eseq, callback, tuple(args), self)
-            (heap if where == "heap" else fifo).append(handle)
+            if where == "heap":
+                heap.append((time, eseq, handle))
+            else:
+                fifo.append(handle)
         self._now = now
         self._seq = seq
         self._event_count = event_count

@@ -20,6 +20,21 @@ Failure propagation: calling :meth:`Waitable.fail` (or a process raising)
 re-raises the exception inside every waiter, at the waiter's next resume
 point.  :meth:`Process.kill` throws :class:`~repro.errors.ProcessKilled`
 into the generator.
+
+Resuming
+--------
+A pending waitable wakes its process directly: a fired :class:`Timeout`
+(or a ``trigger``) calls the process's wake-up callback, which sends the
+value into the generator — no intermediate dispatch frames.  When a
+process yields a waitable that has *already* triggered (a pre-set
+:class:`Signal`, an uncontended ``Resource.acquire``), the process does
+not register a callback; it loops, sending that value straight back in.
+A run of any length of ready waitables therefore costs no stack depth.
+
+Stale wakes: a process only ever resumes for the waitable it is
+currently waiting on.  A process that catches
+:class:`~repro.errors.ProcessKilled` and waits again is not woken by the
+waitable it was killed out of when that one triggers later.
 """
 
 from __future__ import annotations
@@ -73,10 +88,15 @@ class Waitable:
     # -- triggering ------------------------------------------------------
     def trigger(self, value: Any = None) -> None:
         """Complete successfully with *value* and wake all waiters."""
-        if self.triggered:
+        # _dispatch, inlined: a trigger wakes a process on every grant.
+        if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"{self!r} triggered twice")
         self._value = value
-        self._dispatch()
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
 
     def fail(self, exc: BaseException) -> None:
         """Complete exceptionally; waiters see *exc* re-raised."""
@@ -125,7 +145,15 @@ class Timeout(Waitable):
         # Release the handle before triggering so the kernel can recycle
         # it (the free list only reuses handles nobody references).
         self._handle = None
-        self.trigger(value)
+        # Waitable.trigger, inlined: this runs once per timed event.
+        if self._value is not _PENDING or self._exc is not None:
+            raise SimulationError(f"{self!r} triggered twice")
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
 
     def cancel(self) -> None:
         """Cancel the pending timeout (no effect if already fired)."""
@@ -143,7 +171,7 @@ class Process(Waitable):
     both joins *child* and fetches its result.
     """
 
-    __slots__ = ("name", "_gen", "_alive", "_current")
+    __slots__ = ("name", "_gen", "_current", "_wake")
 
     def __init__(
         self, sim: Simulator, generator: Generator[Waitable, Any, Any], name: str = ""
@@ -155,61 +183,78 @@ class Process(Waitable):
             )
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
-        self._alive = True
         self._current: Optional[Waitable] = None
+        # Bound once, registered on every waitable the process waits on,
+        # and None once the process has ended: dropping it then breaks
+        # the process -> bound method -> process cycle, so a finished
+        # process is freed by reference counting.
+        self._wake: Optional[Any] = self._on_child
         sim.schedule(0, self._resume, None, None)
 
     # -- lifecycle --------------------------------------------------------
     @property
     def alive(self) -> bool:
         """True while the generator has not finished."""
-        return self._alive
+        return self._wake is not None
 
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process at once."""
-        if not self._alive:
+        if self._wake is None:
             return
         self.sim.schedule(0, self._resume, None, ProcessKilled(reason))
 
     # -- kernel plumbing ---------------------------------------------------
     def _on_child(self, child: Waitable) -> None:
-        if not self._alive:
+        # Only the waitable the process is waiting on may wake it; any
+        # other (one it was killed out of, or any wake after it ended,
+        # when _current is None) is stale.
+        if child is not self._current:
             return
-        if child._exc is not None:
-            self._resume(None, child._exc)
+        exc = child._exc
+        if exc is not None:
+            self._resume(None, exc)
         else:
             self._resume(child._value, None)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self._alive:
+        if self._wake is None:
             return
-        self._current = None
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            self.trigger(stop.value)
-            return
-        except ProcessKilled as killed:
-            self._alive = False
-            self.fail(killed)
-            return
-        except Exception as err:
-            self._alive = False
-            self.fail(err)
-            return
-        if not isinstance(target, Waitable):
-            self._alive = False
-            bad = SimulationError(
-                f"process {self.name!r} yielded {target!r}; expected a Waitable"
-            )
-            self.fail(bad)
-            return
-        self._current = target
-        target.add_callback(self._on_child)
+        gen = self._gen
+        while True:
+            self._current = None
+            try:
+                if exc is not None:
+                    target = gen.throw(exc)
+                else:
+                    target = gen.send(value)
+            except StopIteration as stop:
+                self._wake = None
+                self.trigger(stop.value)
+                return
+            except ProcessKilled as killed:
+                self._wake = None
+                self.fail(killed)
+                return
+            except Exception as err:
+                self._wake = None
+                self.fail(err)
+                return
+            if not isinstance(target, Waitable):
+                self._wake = None
+                bad = SimulationError(
+                    f"process {self.name!r} yielded {target!r}; expected a Waitable"
+                )
+                self.fail(bad)
+                return
+            # A pending target wakes us later; a triggered one is
+            # consumed right here, by looping instead of recursing.
+            exc = target._exc
+            if exc is None:
+                value = target._value
+                if value is _PENDING:
+                    self._current = target
+                    target._callbacks.append(self._wake)
+                    return
 
 
 class AnyOf(Waitable):

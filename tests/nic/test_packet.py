@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, ProtocolError
-from repro.nic.packet import HEADER_BYTES, Packet, PacketKind
+from repro.nic.packet import HEADER_BYTES, Packet, PacketKind, response_kind, wire_bytes_for
 
 
 def make(kind=PacketKind.READ_REQ, **kw):
@@ -53,6 +53,17 @@ class TestResponses:
     def test_response_of_response_raises(self):
         with pytest.raises(ProtocolError):
             make(PacketKind.READ_RESP).response_kind()
+
+    @pytest.mark.parametrize("kind", list(PacketKind))
+    def test_kind_helpers_match_packet(self, kind):
+        """The datapath sizes wires from the kind alone, as a Packet would."""
+        pkt = make(kind)
+        assert wire_bytes_for(kind, 128) == pkt.wire_bytes
+        if kind in (PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.PROBE):
+            assert response_kind(kind) is pkt.response_kind()
+        else:
+            with pytest.raises(ProtocolError):
+                response_kind(kind)
 
 
 class TestEncodeDecode:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Resource, Signal, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -530,3 +530,40 @@ class TestRandomStorm:
         sim.run()
         assert log == list(range(1, 400, 2))
         assert sim.events_processed == 200
+
+
+class TestReadyWaitableRuns:
+    """A process that yields many already-triggered waitables in a row
+    consumes them in a loop, so the run length costs no stack depth."""
+
+    def test_long_run_of_triggered_signals(self):
+        sim = Simulator()
+        signals = [Signal(sim) for _ in range(5000)]
+        for idx, sig in enumerate(signals):
+            sig.trigger(idx)
+
+        def proc():
+            total = 0
+            for sig in signals:
+                total += yield sig
+            return total
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value == sum(range(5000))
+
+    def test_long_run_of_uncontended_acquires(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+
+        def proc():
+            for _ in range(3000):
+                yield res.acquire()
+                res.release()
+            return sim.now
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.ok, p._exc
+        assert p.value == 0
+        assert res.in_use == 0

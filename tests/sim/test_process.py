@@ -1,5 +1,7 @@
 """Unit tests for generator-based processes and waitables."""
 
+import gc
+
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
@@ -143,6 +145,70 @@ def test_kill_raises_processkilled_inside():
     sim.run()
     assert log == [("killed", 10)]
     assert not vp.alive and not vp.ok
+
+
+def test_caught_kill_ignores_the_interrupted_wait():
+    """A victim that survives a kill resumes for its new wait only."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield Timeout(sim, 100)
+        except ProcessKilled:
+            log.append(("killed", sim.now))
+        yield Timeout(sim, 1000)
+        log.append(("woke", sim.now))
+
+    def killer(victim_proc):
+        yield Timeout(sim, 10)
+        victim_proc.kill()
+
+    vp = sim.process(victim())
+    sim.process(killer(vp))
+    sim.run()
+    assert log == [("killed", 10), ("woke", 1010)]
+    assert vp.ok
+
+
+def test_caught_kill_rewait_on_same_signal_resumes_once():
+    sim = Simulator()
+    sig = Signal(sim)
+    log = []
+
+    def victim():
+        try:
+            yield sig
+        except ProcessKilled:
+            log.append("killed")
+        log.append(("got", (yield sig)))
+        yield Timeout(sim, 5)
+        log.append(("done", sim.now))
+
+    def interrupter(victim_proc):
+        yield Timeout(sim, 10)
+        victim_proc.kill()
+        yield Timeout(sim, 10)
+        sig.trigger("v")
+
+    vp = sim.process(victim())
+    sim.process(interrupter(vp))
+    sim.run()
+    assert log == ["killed", ("got", "v"), ("done", 25)]
+    assert vp.ok
+
+
+def test_finished_process_drops_its_wake_callback():
+    """A finished process references no bound method of itself, so it is
+    freed by reference counting, not left for the cycle collector."""
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(sim, 1)
+
+    p = run(sim, proc())
+    assert not p.alive
+    assert all(getattr(ref, "__self__", None) is not p for ref in gc.get_referents(p))
 
 
 def test_kill_finished_process_is_noop():

@@ -105,15 +105,6 @@ class DesPhaseDriver:
         return self.result
 
     # ------------------------------------------------------------------
-    def _addr_for(self, phase: AccessPhase, line_index: int) -> int:
-        line_bytes = self.system.line_bytes
-        slot = line_index % self.footprint_lines
-        offset = (self.instance_index * self.footprint_lines + slot) * line_bytes
-        if phase.location is Location.REMOTE:
-            base = self.system.config.remote_region_base
-            return base + offset % self.system.config.remote_region_bytes
-        return offset  # local physical addresses start at 0
-
     def _run(self) -> Generator:
         sim = self.system.sim
         obs = self.system.obs
@@ -154,44 +145,71 @@ class DesPhaseDriver:
         return self.result
 
     def _run_phase(self, phase: AccessPhase) -> Generator:
-        sim = self.system.sim
+        system = self.system
+        sim = system.sim
         if phase.compute_ps:
             yield Timeout(sim, phase.compute_ps)
-        if phase.n_lines == 0:
+        n_lines = phase.n_lines
+        if n_lines == 0:
             return
-        n_workers = min(phase.concurrency, phase.n_lines)
-        state = {"next": 0, "write_acc": 0.0}
+        # Per-phase constants, hoisted out of the per-line loop.  Line
+        # ``i`` touches slot ``i % footprint`` of this instance's window:
+        # address ``(instance_index * footprint + slot) * line_bytes``,
+        # wrapped into the remote region for remote phases.
+        write_fraction = phase.write_fraction
+        compute_per_line = phase.compute_ps_per_line
+        footprint = self.footprint_lines
+        line_bytes = system.line_bytes
+        window_base = self.instance_index * footprint
+        remote = phase.location is Location.REMOTE
+        if remote:
+            access = system.remote_access
+            traffic_class = self.traffic_class
+            region_base = system.config.remote_region_base
+            region_bytes = system.config.remote_region_bytes
+        else:
+            access = system.local_access
+            node = system.lender if phase.location is Location.LENDER_LOCAL else system.borrower
+        add_latency = self.latencies.add
+        cursor = _LineCursor()
 
         def worker() -> Generator:
-            while state["next"] < phase.n_lines:
-                idx = state["next"]
-                state["next"] += 1
+            while cursor.next < n_lines:
+                idx = cursor.next
+                cursor.next = idx + 1
                 # Bresenham-style deterministic write mixing.
-                state["write_acc"] += phase.write_fraction
-                write = state["write_acc"] >= 1.0
+                cursor.write_acc += write_fraction
+                write = cursor.write_acc >= 1.0
                 if write:
-                    state["write_acc"] -= 1.0
-                addr = self._addr_for(phase, idx)
-                if phase.location is Location.REMOTE:
-                    result = yield from self.system.remote_access(
-                        addr, write=write, traffic_class=self.traffic_class
-                    )
-                elif phase.location is Location.LENDER_LOCAL:
-                    result = yield from self.system.local_access(
-                        self.system.lender, addr, write=write
+                    cursor.write_acc -= 1.0
+                offset = (window_base + idx % footprint) * line_bytes
+                if remote:
+                    result = yield from access(
+                        region_base + offset % region_bytes,
+                        write=write,
+                        traffic_class=traffic_class,
                     )
                 else:
-                    result = yield from self.system.local_access(
-                        self.system.borrower, addr, write=write
-                    )
-                self.latencies.add(result.latency)
+                    # Local physical addresses start at 0.
+                    result = yield from access(node, offset, write=write)
+                add_latency(result.latency)
                 self._lines += 1
-                if phase.compute_ps_per_line:
-                    yield Timeout(sim, phase.compute_ps_per_line)
+                if compute_per_line:
+                    yield Timeout(sim, compute_per_line)
 
         procs = [sim.process(worker(), name=f"{self.instance}.{phase.name}.{i}")
-                 for i in range(n_workers)]
+                 for i in range(min(phase.concurrency, n_lines))]
         yield AllOf(sim, procs)
+
+
+class _LineCursor:
+    """Next line index and write-mix accumulator shared by a phase's workers."""
+
+    __slots__ = ("next", "write_acc")
+
+    def __init__(self) -> None:
+        self.next = 0
+        self.write_acc = 0.0
 
 
 def run_concurrent(

@@ -50,6 +50,7 @@ class BandwidthServer:
         "_background",
         "admission",
         "sheds",
+        "_service",
     )
 
     def __init__(self, rate_bytes_per_s: float, name: str = "bus") -> None:
@@ -70,6 +71,9 @@ class BandwidthServer:
         # repro.core.overload.AdmissionPolicy; None = admit everything).
         self.admission = None
         self.sheds = 0
+        # nbytes -> transfer_time_ps(nbytes, rate): the rate is fixed
+        # and a datapath reserves only a few distinct sizes.
+        self._service: dict[int, Duration] = {}
 
     def enable_queue_wait_tracking(self) -> LogHistogram:
         """Start log-bucketed tracking of per-transfer queueing waits."""
@@ -103,7 +107,9 @@ class BandwidthServer:
         """
         start = at if at > self._next_free else self._next_free
         if self._background is None:
-            duration = transfer_time_ps(nbytes, self.rate)
+            duration = self._service.get(nbytes)
+            if duration is None:
+                duration = self._service[nbytes] = transfer_time_ps(nbytes, self.rate)
         else:
             duration = self._background.finish_time(start, nbytes, self.rate) - start
         finish = start + duration

@@ -26,8 +26,9 @@ here is pure state machinery, unit-testable without a simulator.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.config import TransportConfig
 from repro.core.overload.deadline import check_deadline, clamp_wake
@@ -89,7 +90,11 @@ class RetransmitBuffer:
         if capacity < 1:
             raise ProtocolError(f"retransmit buffer needs capacity >= 1, got {capacity}")
         self.capacity = capacity
-        self._packets: Dict[int, Packet] = {}  # seq -> packet, insertion-ordered
+        self._packets: Dict[int, Packet] = {}  # seq -> packet
+        # Min-heap of buffered seqs with lazy deletion: a seq freed by
+        # ack() stays here until a cumulative ACK pops it, and a re-added
+        # seq may appear twice.  Every resident seq has at least one entry.
+        self._seq_heap: List[int] = []
         self.high_water = 0
 
     def __len__(self) -> int:
@@ -103,6 +108,13 @@ class RetransmitBuffer:
                 "admission gating is broken"
             )
         self._packets[packet.seq] = packet
+        heap = self._seq_heap
+        if len(heap) >= 2 * self.capacity:
+            # Mostly stale entries (cumulative ACKs stalled): rebuild from
+            # the resident seqs; a sorted list is a valid heap.
+            heap[:] = sorted(self._packets)
+        else:
+            heapq.heappush(heap, packet.seq)
         if len(self._packets) > self.high_water:
             self.high_water = len(self._packets)
 
@@ -123,10 +135,13 @@ class RetransmitBuffer:
 
     def ack_cumulative(self, upto: int) -> int:
         """Free every buffered packet with ``seq <= upto``; returns count."""
-        stale = [seq for seq in self._packets if seq <= upto]
-        for seq in stale:
-            del self._packets[seq]
-        return len(stale)
+        heap = self._seq_heap
+        packets = self._packets
+        freed = 0
+        while heap and heap[0] <= upto:
+            if packets.pop(heapq.heappop(heap), None) is not None:
+                freed += 1
+        return freed
 
 
 class LenderIngress:

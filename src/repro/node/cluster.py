@@ -20,8 +20,7 @@ Process objects per transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from repro.config import ClusterConfig
 from repro.core.delay import DelayInjector, DelaySchedule
@@ -41,9 +40,13 @@ from repro.units import Duration, Time
 __all__ = ["AccessResult", "ThymesisFlowSystem"]
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Completion record of one memory transaction."""
+class AccessResult(NamedTuple):
+    """Completion record of one memory transaction.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    access, and positional tuple construction is several times cheaper
+    than a frozen dataclass's per-field ``object.__setattr__``.
+    """
 
     issue_time: Time
     complete_time: Time
@@ -276,10 +279,12 @@ class ThymesisFlowSystem:
         # Wait until the request is at the lender before touching the
         # lender's (shared) memory bus, so cross-traffic ordering there
         # reflects real arrival times.
-        if arrive_lender > sim.now:
-            yield Timeout(sim, arrive_lender - sim.now)
+        now = sim.now
+        if arrive_lender > now:
+            yield Timeout(sim, arrive_lender - now)
+            now = sim.now
 
-        t = sim.now + self._lender_latency
+        t = now + self._lender_latency
         mem_ready = t
         bus_busy = self.lender.dram.bus.busy_until() if blaming else 0
         if kind in (PacketKind.READ_REQ, PacketKind.WRITE_REQ):
@@ -290,15 +295,13 @@ class ThymesisFlowSystem:
         rev_busy = self.link.reverse.busy_until() if blaming else 0
         arrive_back = self._leg_to_borrower(response_bytes, t)
         complete = arrive_back + self._ingress_latency
-        if complete > sim.now:
-            yield Timeout(sim, complete - sim.now)
+        if complete > now:
+            yield Timeout(sim, complete - now)
 
         self.borrower.window.release()
-        result = AccessResult(
-            issue_time=issue, complete_time=complete, write=write, remote=True
-        )
+        result = AccessResult(issue, complete, write, True)
         if kind is not PacketKind.PROBE:
-            self.stats.sample("remote.latency_ps", result.latency)
+            self.stats.sample("remote.latency_ps", complete - issue)
             self.stats.count("remote.transactions")
             self.stats.count("remote.payload_bytes", self._line)
             if self.obs.enabled:
@@ -465,10 +468,10 @@ class ThymesisFlowSystem:
         sim = self.sim
         issue = sim.now
         complete = node.dram.access(self._line, issue + node.config.cpu.issue_overhead, write=write)
-        if complete > sim.now:
-            yield Timeout(sim, complete - sim.now)
-        self.stats.count(f"{node.name}.local.transactions")
-        return AccessResult(issue_time=issue, complete_time=complete, write=write, remote=False)
+        if complete > issue:
+            yield Timeout(sim, complete - issue)
+        self.stats.count(node.local_transactions_key)
+        return AccessResult(issue, complete, write, False)
 
     def fallback_access(self, kind: PacketKind) -> Generator:
         """Serve a withdrawn remote access from borrower-local DRAM.

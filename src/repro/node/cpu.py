@@ -10,9 +10,13 @@ paper measures (Fig. 3): ``BDP = window x line_bytes``.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Deque
+
 from repro.config import CpuConfig
 from repro.obs import LogHistogram
 from repro.sim import Resource, Simulator, Waitable
+from repro.units import Time
 
 __all__ = ["MemoryWindow"]
 
@@ -34,6 +38,9 @@ class MemoryWindow:
         self._slots = Resource(sim, config.max_outstanding_misses, name=name)
         self.peak_occupancy = 0
         self.wait_hist = LogHistogram()
+        # Request times of queued acquisitions, oldest first: the same
+        # FIFO order in which the Resource hands slots to its waiters.
+        self._queued_since: Deque[Time] = deque()
 
     @property
     def capacity(self) -> int:
@@ -54,19 +61,19 @@ class MemoryWindow:
             if slots.in_use > self.peak_occupancy:
                 self.peak_occupancy = slots.in_use
             self.wait_hist.record(0)
-            return req
-        requested_at = self.sim.now
-
-        def _track(_w: Waitable) -> None:
-            if slots.in_use > self.peak_occupancy:
-                self.peak_occupancy = slots.in_use
-            self.wait_hist.record(self.sim.now - requested_at)
-
-        req.add_callback(_track)
+        else:
+            # Queued: the wait is recorded at hand-off, in release().
+            self._queued_since.append(self.sim.now)
         return req
 
     def release(self) -> None:
         """Return a slot when the transaction's response arrives."""
+        queued = self._queued_since
+        if queued:
+            # The slot passes straight to the oldest waiter, so occupancy
+            # (and its peak) is unchanged; record that waiter's wait
+            # before Resource.release() resumes it.
+            self.wait_hist.record(self.sim.now - queued.popleft())
         self._slots.release()
 
     def utilization(self) -> float:

@@ -23,6 +23,9 @@ class Node:
         self.sim = sim
         self.config = config
         self.name = config.name
+        #: Stat key of this node's local-access counter (built once,
+        #: not per access).
+        self.local_transactions_key = f"{config.name}.local.transactions"
         self.dram = DramModule(config.dram, name=f"{config.name}.dram")
         self.window = MemoryWindow(sim, config.cpu, name=f"{config.name}.mshr")
         self.regions = RegionMap(

@@ -135,7 +135,11 @@ class Timeout(Waitable):
     __slots__ = ("delay", "_handle")
 
     def __init__(self, sim: Simulator, delay: Duration, value: Any = None) -> None:
-        super().__init__(sim)
+        # Waitable.__init__, inlined: a Timeout is built per timed wait.
+        self.sim = sim
+        self._value = _PENDING
+        self._exc = None
+        self._callbacks = []
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         self.delay = delay

@@ -1,6 +1,8 @@
 """Unit tests for the reliable NIC transport state machines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import FaultConfig, TransportConfig
 from repro.errors import (
@@ -62,6 +64,20 @@ class TestRetransmitBuffer:
             buf.add(packet(seq=s))
         buf.ack_cumulative(4)
         assert buf.high_water == 4
+
+    def test_stalled_cumulative_ack_keeps_the_seq_index_bounded(self):
+        # seq 1 is never delivered (its retries ran out), so the lender's
+        # cumulative ACK stays at 0 while later seqs are acked one by one.
+        buf = RetransmitBuffer(4)
+        buf.add(packet(seq=1))
+        for s in range(2, 200):
+            buf.add(packet(seq=s))
+            buf.ack(s)
+            assert buf.ack_cumulative(0) == 0
+        assert len(buf._seq_heap) <= 2 * buf.capacity
+        buf.add(packet(seq=200))
+        assert buf.ack_cumulative(1000) == 2
+        assert len(buf) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ProtocolError):
@@ -194,3 +210,57 @@ class TestNackPacket:
         assert n.kind is PacketKind.NACK
         assert (n.src, n.dst) == (p.dst, p.src)
         assert n.seq == 9 and n.size == 0 and not n.carries_data
+
+
+def _comprehension_ack_cumulative(packets: dict, upto: int) -> int:
+    """The original list-comprehension sweep, kept as the oracle."""
+    stale = [seq for seq in packets if seq <= upto]
+    for seq in stale:
+        del packets[seq]
+    return len(stale)
+
+
+_buffer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("ack"), st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("cum"), st.integers(min_value=0, max_value=45)),
+        st.tuples(st.just("readd"), st.integers(min_value=1, max_value=40)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_buffer_ops)
+def test_ack_cumulative_matches_the_comprehension(ops):
+    """Same freed set and count as the full scan, under any op mix.
+
+    ``readd`` replays a seq that a cumulative ACK freed, as the reliable
+    datapath does when its own response died after the lender had it.
+    """
+    capacity = 16
+    buf = RetransmitBuffer(capacity)
+    oracle: dict = {}
+    freed_by_cum: set = set()
+    high_water = 0
+    for op, seq in ops:
+        if op == "add" or (op == "readd" and seq in freed_by_cum):
+            if seq not in oracle and len(oracle) >= capacity:
+                continue
+            pkt = packet(seq=seq)
+            buf.add(pkt)
+            oracle[seq] = pkt
+            freed_by_cum.discard(seq)
+            high_water = max(high_water, len(oracle))
+        elif op == "ack":
+            buf.ack(seq)
+            oracle.pop(seq, None)
+        elif op == "cum":
+            before = set(oracle)
+            assert buf.ack_cumulative(seq) == _comprehension_ack_cumulative(oracle, seq)
+            freed_by_cum |= before - set(oracle)
+        assert len(buf) == len(oracle)
+        assert buf.high_water == high_water
+        assert all(buf.holds(s) and buf.get(s) is p for s, p in oracle.items())
+        assert not any(buf.holds(s) for s in range(0, 46) if s not in oracle)

@@ -13,12 +13,16 @@ dominates, and ``L0 + (n-1)*b`` for a small burst.  Steady-state
 sojourn follows Little's law, ``T_sojourn = C_eff * max(b, (L0+z)/C)``,
 which is what yields the paper's constant bandwidth-delay product.
 
-Multi-tenant contention (Figs. 6 and 7) is solved by weighted max-min
-fair allocation of each shared resource's capacity across flows
-(:func:`max_min_rates`), the fluid counterpart of the DES engine's FIFO
-interleaving.  :func:`solve_rate_timeline` re-solves the same
-allocation at every flow completion to give the hybrid engine its
-piecewise-constant background schedules.
+Multi-tenant contention (Figs. 6 and 7) has one model, shared with the
+hybrid engine.  The contenders and the measured program are solved
+together by weighted max-min fair allocation of each shared resource
+(:func:`max_min_rates`, the fluid counterpart of the DES engine's FIFO
+interleaving); :func:`solve_rate_timeline` re-solves it at every flow
+completion, and :func:`repro.engine.hybrid.solve_contention` builds
+that solve.  The hybrid engine installs the resulting background on
+its servers; this engine evaluates the program's phases against the
+capacity the background leaves free (``background=`` on
+:meth:`FluidEngine.run`).
 
 All sweep APIs accept NumPy arrays of PERIOD values and evaluate
 vectorized, per the project's HPC style guides.
@@ -26,13 +30,13 @@ vectorized, per the project's HPC style guides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import ClusterConfig
-from repro.engine.model import PathModel
+from repro.engine.model import GATE, LENDER_BUS, LINK_FWD, LINK_REV, PathModel
 from repro.engine.phases import AccessPhase, Location, PhaseProgram
 from repro.errors import ConfigError
 from repro.sim.resources import RateSchedule
@@ -178,17 +182,6 @@ class FlowTimeline:
     segments: Tuple[Tuple[float, Optional[float], Mapping[str, float]], ...]
     finish_ps: Mapping[str, float]
 
-    def flow_rate_at(self, name: str, t: float) -> float:
-        """Allocated rate (lines/s) of *name* at time *t*."""
-        for t0, t1, alloc in self.segments:
-            if t >= t0 and (t1 is None or t < t1):
-                return alloc.get(name, 0.0)
-        return 0.0
-
-    def end_ps(self) -> float:
-        """Completion time of the last finite flow (0 with no flows)."""
-        return max(self.finish_ps.values(), default=0.0)
-
     def background_schedule(self, resource: str) -> RateSchedule:
         """Aggregate background consumption of *resource* (units/s).
 
@@ -273,6 +266,10 @@ class FluidRun:
         return self.payload_bytes * 1e12 / self.duration_ps
 
 
+#: Every shared resource wholly free: the uncontended case.
+_ALL_FREE: Mapping[str, float] = {GATE: 1.0, LINK_FWD: 1.0, LINK_REV: 1.0, LENDER_BUS: 1.0}
+
+
 class FluidEngine:
     """Analytic evaluation of phase programs against a configuration.
 
@@ -281,89 +278,94 @@ class FluidEngine:
     config:
         Testbed configuration; PERIOD sweeps re-derive the model via
         :meth:`with_period`.
-    remote_share:
-        Fraction (0, 1] of gate/link capacity available to this flow —
-        used to model contention computed by :func:`max_min_rates`.
-    lender_bus_share:
-        Fraction of the lender memory bus available to this flow.
     """
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        remote_share: float = 1.0,
-        lender_bus_share: float = 1.0,
-    ) -> None:
-        if not 0 < remote_share <= 1 or not 0 < lender_bus_share <= 1:
-            raise ConfigError("shares must be in (0, 1]")
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.model = PathModel.from_config(config)
-        self.remote_share = remote_share
-        self.lender_bus_share = lender_bus_share
 
     def with_period(self, period: int) -> "FluidEngine":
         """Same engine at a different injection PERIOD."""
-        return FluidEngine(
-            self.config.with_period(period),
-            remote_share=self.remote_share,
-            lender_bus_share=self.lender_bus_share,
-        )
+        return FluidEngine(self.config.with_period(period))
 
     # ------------------------------------------------------------------
     # Per-phase evaluation
     # ------------------------------------------------------------------
-    def _remote_interval(self, write_fraction: float) -> float:
+    def capacity_left(self, background: Optional[FlowTimeline]) -> Mapping[str, float]:
+        """Fraction of each shared resource the *background* leaves free.
+
+        Read in the timeline's first segment, where every flow still
+        runs: the contended state the measured program sees.  ``None``
+        leaves every resource free.
+        """
+        if background is None or not background.segments:
+            return _ALL_FREE
+        t0 = round(background.segments[0][0])
+        return {
+            res: 1.0 - background.background_schedule(res).rate_at(t0) / capacity
+            for res, capacity in self.model.capacities().items()
+        }
+
+    def _phase(self, phase: AccessPhase, left: Mapping[str, float]) -> Tuple[float, float]:
+        """(duration, steady-state sojourn) of *phase* given *left*.
+
+        Each remote stage interval stretches by the fraction of its
+        resource left free (see :meth:`capacity_left`).
+        """
         m = self.model
-        link = m.link_interval(write_fraction) / self.remote_share
-        gate = m.gate_interval / self.remote_share
-        bus = m.bus_interval / self.lender_bus_share
-        return max(gate, link, bus)
+        if phase.location is Location.REMOTE:
+            fwd, rev = m.link_intervals(phase.write_fraction)
+            base = m.base_latency
+            interval = max(
+                m.gate_interval / left[GATE],
+                fwd / left[LINK_FWD],
+                rev / left[LINK_REV],
+                m.bus_interval / left[LENDER_BUS],
+            )
+        else:
+            base, interval = m.local_latency, m.local_bus_interval
+        if phase.n_lines == 0:
+            return float(phase.compute_ps * phase.repeats), float(base)
+        c_eff = min(phase.concurrency, m.window)
+        z = phase.compute_ps_per_line
+        per_txn = max(interval, (base + z) / c_eff)
+        sojourn = float(base) if phase.n_lines < c_eff else float(c_eff * per_txn)
+        one = phase.compute_ps + base + (phase.n_lines - 1) * per_txn + z
+        return float(one * phase.repeats), sojourn
 
     def phase_sojourn_ps(self, phase: AccessPhase) -> float:
         """Steady-state per-transaction sojourn during *phase*."""
-        m = self.model
-        if phase.location is Location.REMOTE:
-            base, interval = m.base_latency, self._remote_interval(phase.write_fraction)
-        else:
-            base, interval = m.local_latency, m.local_bus_interval
-        c_eff = min(phase.concurrency, m.window)
-        z = phase.compute_ps_per_line
-        per_txn = max(interval, (base + z) / c_eff)
-        if phase.n_lines < c_eff:
-            return float(base)
-        return float(c_eff * per_txn)
+        return self._phase(phase, _ALL_FREE)[1]
 
     def phase_duration_ps(self, phase: AccessPhase) -> float:
         """Completion time of one phase (all repeats)."""
-        m = self.model
-        if phase.n_lines == 0:
-            return float((phase.compute_ps) * phase.repeats)
-        if phase.location is Location.REMOTE:
-            base, interval = m.base_latency, self._remote_interval(phase.write_fraction)
-        else:
-            base, interval = m.local_latency, m.local_bus_interval
-        c_eff = min(phase.concurrency, m.window)
-        z = phase.compute_ps_per_line
-        per_txn = max(interval, (base + z) / c_eff)
-        one = phase.compute_ps + base + (phase.n_lines - 1) * per_txn + z
-        return float(one * phase.repeats)
+        return self._phase(phase, _ALL_FREE)[0]
 
     # ------------------------------------------------------------------
     # Program evaluation
     # ------------------------------------------------------------------
-    def run(self, program: PhaseProgram) -> FluidRun:
-        """Evaluate a whole program; returns aggregate timing/bandwidth."""
+    def run(
+        self, program: PhaseProgram, background: Optional[FlowTimeline] = None
+    ) -> FluidRun:
+        """Evaluate a whole program; returns aggregate timing/bandwidth.
+
+        *background* is a contention solve that includes *program* as
+        its foreground flow (:func:`repro.engine.hybrid.solve_contention`);
+        the program then runs on the capacity it leaves free.
+        """
+        left = self.capacity_left(background)
         total = 0.0
         payload = 0.0
         weighted_sojourn = 0.0
         remote_lines = 0
         line = self.model.line_bytes
         for phase in program:
-            total += self.phase_duration_ps(phase)
+            duration, sojourn = self._phase(phase, left)
+            total += duration
             payload += phase.total_lines * line
             if phase.location is Location.REMOTE:
                 remote_lines += phase.total_lines
-            weighted_sojourn += self.phase_sojourn_ps(phase) * phase.total_lines
+            weighted_sojourn += sojourn * phase.total_lines
         lines = max(1, program.total_lines)
         return FluidRun(
             program_name=program.name,
@@ -394,9 +396,9 @@ class FluidEngine:
         if (periods_arr < 1).any():
             raise ConfigError("PERIOD values must be >= 1")
         t_cyc = self.config.borrower.nic.fpga.clock_period
-        gate = periods_arr.astype(np.float64) * t_cyc / self.remote_share
-        link = m.link_interval(write_fraction) / self.remote_share
-        bus = m.bus_interval / self.lender_bus_share
+        gate = periods_arr.astype(np.float64) * t_cyc
+        link = m.link_interval(write_fraction)
+        bus = float(m.bus_interval)
         interval = np.maximum(gate, max(link, bus))
         c_eff = min(concurrency, m.window)
         per_txn = np.maximum(interval, (m.base_latency + think_ps) / c_eff)
@@ -404,52 +406,3 @@ class FluidEngine:
         bandwidth = m.line_bytes * 1e12 / per_txn
         bdp = bandwidth * sojourn / 1e12
         return sojourn, bandwidth, bdp
-
-    # ------------------------------------------------------------------
-    # Contention helpers (Figs. 6, 7)
-    # ------------------------------------------------------------------
-    def contended_remote_engines(self, n_borrower_flows: int) -> "FluidEngine":
-        """Engine view for one of N identical remote flows (MCBN)."""
-        if n_borrower_flows < 1:
-            raise ConfigError("need at least one flow")
-        return FluidEngine(
-            self.config,
-            remote_share=self.remote_share / n_borrower_flows,
-            lender_bus_share=self.lender_bus_share,
-        )
-
-    def mcln_allocation(
-        self,
-        remote_demand_lines_per_s: float,
-        local_demand_lines_per_s: float,
-        n_local_flows: int,
-    ) -> Dict[str, float]:
-        """Max-min allocation of the lender bus (MCLN scenario).
-
-        One remote flow (crossing gate, link and lender bus) competes
-        with *n_local_flows* lender-local flows (bus only).
-        """
-        m = self.model
-        capacities = {
-            "gate": 1e12 / m.gate_interval,
-            "link": 1e12 / max(m.link_fwd_interval, m.link_rev_interval),
-            "lender_bus": 1e12 / m.bus_interval,
-        }
-        flows = [
-            TimedFlow(
-                "remote",
-                remote_demand_lines_per_s,
-                None,
-                {"gate": 1.0, "link": 1.0, "lender_bus": 1.0},
-            )
-        ]
-        flows += [
-            TimedFlow(f"local{i}", local_demand_lines_per_s, None, {"lender_bus": 1.0})
-            for i in range(n_local_flows)
-        ]
-        return max_min_rates(flows, capacities)
-
-
-def scaled_phase(phase: AccessPhase, factor: float) -> AccessPhase:
-    """Utility: a copy of *phase* with line count scaled by *factor*."""
-    return replace(phase, n_lines=max(1, round(phase.n_lines * factor)))

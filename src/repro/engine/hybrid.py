@@ -19,7 +19,10 @@ behaviour (latency distributions, blame attribution) remains discrete
 and ordered; only its *service rates* are scaled.  The foreground flow
 is included in the fluid solve so the background allocation is
 consistent with what a DES co-run would give it (N symmetric flows
-each receive capacity/N).
+each receive capacity/N).  :func:`solve_contention` is that one solve;
+the fluid engine's contended runs evaluate the foreground analytically
+against the same timeline, so the two engines share one contention
+model.
 
 With zero background flows every schedule is empty and the servers
 keep their pure-DES fast path — results are byte-identical to
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.fluid import FlowTimeline, TimedFlow, solve_rate_timeline
-from repro.engine.model import PathModel
+from repro.engine.model import GATE, LENDER_BUS, LINK_FWD, LINK_REV, PathModel
 from repro.engine.phases import Location, PhaseProgram
 from repro.errors import ConfigError
 from repro.nic.packet import HEADER_BYTES
@@ -42,11 +45,11 @@ __all__ = [
     "BackgroundLoad",
     "HybridContention",
     "lender_bus_pulse",
+    "mcbn_background",
+    "mcln_background",
     "program_write_fraction",
+    "solve_contention",
 ]
-
-#: Shared-resource names of the remote datapath, in path order.
-GATE, LINK_FWD, LINK_REV, LENDER_BUS = "gate", "link_fwd", "link_rev", "lender_bus"
 
 
 def program_write_fraction(program: PhaseProgram) -> float:
@@ -116,6 +119,48 @@ class BackgroundLoad:
         }
 
 
+def solve_contention(
+    model: PathModel,
+    loads: Sequence[BackgroundLoad],
+    foreground: Optional[PhaseProgram] = None,
+    start_ps: float = 0,
+) -> FlowTimeline:
+    """Max-min rate timeline of *loads* competing with *foreground*.
+
+    The foreground joins as one more remote contender (the flow
+    :func:`mcbn_background` builds for it) that is open-ended and never
+    part of a background schedule.  Its *discrete* finish time is
+    unknowable here, and letting the fluid side absorb the
+    foreground's share after a fluid-estimated finish would starve the
+    real (slower-ramping) discrete tail.
+    """
+    flows = []
+    if foreground is not None and foreground.total_lines:
+        (fg,) = mcbn_background(model, foreground, 1)
+        flows.append(
+            TimedFlow(
+                "foreground",
+                demand=fg.demand_lines_per_s,
+                volume=None,
+                costs=fg.costs(model),
+                background=False,
+                weight=fg.concurrency,
+            )
+        )
+    for load in loads:
+        flows.append(
+            TimedFlow(
+                load.name,
+                demand=load.demand_lines_per_s,
+                volume=float(load.lines),
+                costs=load.costs(model),
+                background=True,
+                weight=float(load.concurrency),
+            )
+        )
+    return solve_rate_timeline(flows, model.capacities(), start_ps=start_ps)
+
+
 class HybridContention:
     """Fluid background contention installed onto a live testbed.
 
@@ -145,56 +190,9 @@ class HybridContention:
         self.loads = tuple(loads)
         self.model = PathModel.from_config(system.config)
         self.start_ps = start_ps
-        flows = []
-        if foreground is not None and foreground.total_lines:
-            wf = program_write_fraction(foreground)
-            concurrency = max(p.concurrency for p in foreground)
-            demand = self.model.remote_throughput_lines_per_s(
-                concurrency, write_fraction=wf, think_ps=_program_think_ps(foreground)
-            )
-            # Open-ended: the measured instance holds its contended
-            # share for the whole timeline.  Its *discrete* finish time
-            # is unknowable here, and letting the fluid side absorb the
-            # foreground's share after a fluid-estimated finish would
-            # starve the real (slower-ramping) discrete tail.
-            flows.append(
-                TimedFlow(
-                    "foreground",
-                    demand=demand,
-                    volume=None,
-                    costs=BackgroundLoad("fg", 1, demand, wf).costs(self.model),
-                    background=False,
-                    weight=float(min(concurrency, self.model.window)),
-                )
-            )
-        for load in self.loads:
-            flows.append(
-                TimedFlow(
-                    load.name,
-                    demand=load.demand_lines_per_s,
-                    volume=float(load.lines),
-                    costs=load.costs(self.model),
-                    background=True,
-                    weight=float(load.concurrency),
-                )
-            )
-        self.timeline: FlowTimeline = solve_rate_timeline(
-            flows, self.capacities(), start_ps=start_ps
+        self.timeline: FlowTimeline = solve_contention(
+            self.model, self.loads, foreground, start_ps
         )
-        self._installed = False
-
-    def capacities(self) -> Dict[str, float]:
-        """Shared-resource capacities in native units/s."""
-        m = self.model
-        link_rate = self.system.config.link.bandwidth_bytes_per_s
-        return {
-            GATE: 1e12 / m.gate_interval,
-            LINK_FWD: float(link_rate),
-            LINK_REV: float(link_rate),
-            LENDER_BUS: float(
-                self.system.config.lender.dram.bus_bandwidth_bytes_per_s
-            ),
-        }
 
     # ------------------------------------------------------------------
     # Install / remove the background on the testbed's servers
@@ -209,7 +207,6 @@ class HybridContention:
         system.lender.dram.bus.set_background(
             timeline.background_schedule(LENDER_BUS)
         )
-        self._installed = True
 
     def uninstall(self) -> None:
         """Restore the pure-DES fast path on every server."""
@@ -218,7 +215,6 @@ class HybridContention:
         system.link.forward.set_background(None)
         system.link.reverse.set_background(None)
         system.lender.dram.bus.set_background(None)
-        self._installed = False
 
     def __enter__(self) -> "HybridContention":
         self.install()
@@ -230,10 +226,6 @@ class HybridContention:
     # ------------------------------------------------------------------
     # Background-side results (no events were spent on these)
     # ------------------------------------------------------------------
-    def background_lines(self) -> float:
-        """Total lines moved by the fluid side."""
-        return sum(load.lines for load in self.loads)
-
     def finish_ps(self, name: str) -> float:
         """Fluid completion time of background flow *name*."""
         return self.timeline.finish_ps[name]
@@ -245,22 +237,6 @@ class HybridContention:
         if duration <= 0:
             return 0.0
         return load.lines * self.model.line_bytes * 1e12 / duration
-
-    def background_bytes(self, resource: str, t0: int, t1: int) -> float:
-        """Background units consumed on *resource* over ``[t0, t1)``."""
-        return self.timeline.background_schedule(resource).integrate(t0, t1)
-
-    def equivalent_events(self, sim_events: int, foreground_lines: int) -> int:
-        """DES-equivalent event count of a hybrid run.
-
-        Scales the discrete events actually processed by the ratio of
-        total (foreground + fluid) lines to foreground lines — the
-        events a pure-DES co-run would have spent on the same traffic.
-        """
-        if foreground_lines <= 0:
-            return sim_events
-        total = foreground_lines + self.background_lines()
-        return int(sim_events * total / foreground_lines)
 
 
 def lender_bus_pulse(

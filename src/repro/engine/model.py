@@ -9,12 +9,16 @@ fluid engine and the DES engine share one source of timing truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.config import ClusterConfig
 from repro.nic.packet import HEADER_BYTES
 from repro.units import Duration, transfer_time_ps
 
-__all__ = ["PathModel"]
+__all__ = ["PathModel", "GATE", "LINK_FWD", "LINK_REV", "LENDER_BUS"]
+
+#: Shared-resource names of the remote datapath, in path order.
+GATE, LINK_FWD, LINK_REV, LENDER_BUS = "gate", "link_fwd", "link_rev", "lender_bus"
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,8 @@ class PathModel:
         Transaction payload size.
     window:
         Hardware outstanding-transaction bound (W).
+    link_bytes_per_s / bus_bytes_per_s:
+        Raw rate of each link direction and of the lender memory bus.
     """
 
     base_latency: Duration
@@ -52,6 +58,8 @@ class PathModel:
     local_bus_interval: Duration
     line_bytes: int
     window: int
+    link_bytes_per_s: float
+    bus_bytes_per_s: float
 
     @classmethod
     def from_config(cls, config: ClusterConfig) -> "PathModel":
@@ -101,10 +109,26 @@ class PathModel:
             local_bus_interval=transfer_time_ps(line, local_bus_rate),
             line_bytes=line,
             window=config.borrower.cpu.max_outstanding_misses,
+            link_bytes_per_s=float(link_rate),
+            bus_bytes_per_s=float(bus_rate),
         )
 
-    def link_interval(self, write_fraction: float = 0.0) -> float:
-        """Average per-transaction wire time of the heavier direction.
+    def capacities(self) -> Dict[str, float]:
+        """Shared-resource capacities in native units/s.
+
+        Injector grants per second, bytes per second on each link
+        direction and on the lender bus: the units a flow's per-line
+        costs are counted in.
+        """
+        return {
+            GATE: 1e12 / self.gate_interval,
+            LINK_FWD: self.link_bytes_per_s,
+            LINK_REV: self.link_bytes_per_s,
+            LENDER_BUS: self.bus_bytes_per_s,
+        }
+
+    def link_intervals(self, write_fraction: float = 0.0) -> Tuple[float, float]:
+        """Average per-transaction wire time of each direction (fwd, rev).
 
         Every transaction puts a header on both directions; the line
         payload rides forward for writes and reverse for reads, so a
@@ -113,7 +137,11 @@ class PathModel:
         """
         fwd = self.link_header_interval + write_fraction * self.link_line_interval
         rev = self.link_header_interval + (1.0 - write_fraction) * self.link_line_interval
-        return max(fwd, rev)
+        return fwd, rev
+
+    def link_interval(self, write_fraction: float = 0.0) -> float:
+        """Average per-transaction wire time of the heavier direction."""
+        return max(self.link_intervals(write_fraction))
 
     def remote_bottleneck_interval(self, write_fraction: float = 0.0) -> float:
         """Per-transaction interval of the slowest remote stage."""

@@ -18,7 +18,7 @@ from repro.analysis.stats import jain_fairness
 from repro.calibration import paper_cluster_config
 from repro.engine.des import DesPhaseDriver, run_concurrent
 from repro.engine.fluid import FluidEngine
-from repro.engine.hybrid import HybridContention, mcbn_background
+from repro.engine.hybrid import HybridContention, mcbn_background, solve_contention
 from repro.engine.model import PathModel
 from repro.engine.phases import Location
 from repro.experiments.base import ExperimentResult
@@ -38,23 +38,23 @@ QUICK_ELEMENTS = 2_500
 
 def _mcbn_point(n: int, period: int, stream: StreamConfig, mode: str, obs=None) -> dict:
     """Per-instance bandwidths at one contention level (worker-runnable)."""
+    config = paper_cluster_config(period=period)
     if mode == "des":
-        config = paper_cluster_config(period=period)
         system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n={n}")
         system.attach_or_raise()
         programs = [StreamWorkload(stream).program(Location.REMOTE) for _ in range(n)]
         results = run_concurrent(system, programs)
         if obs is not None:
             obs.finish_system(system)
-        bws = [r.bandwidth_bytes_per_s for r in results]
-    elif mode == "hybrid":
-        # One discrete (measured) instance; the other n-1 contenders
-        # run as fluid background flows on the shared gate/link/bus.
-        config = paper_cluster_config(period=period)
+        return {"bandwidths": [r.bandwidth_bytes_per_s for r in results]}
+    # One measured instance; the other n-1 contenders are fluid flows on
+    # the shared gate/link/bus, solved together with it.
+    model = PathModel.from_config(config)
+    program = StreamWorkload(stream).program(Location.REMOTE)
+    loads = mcbn_background(model, program, n - 1)
+    if mode == "hybrid":
         system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n={n}")
         system.attach_or_raise()
-        program = StreamWorkload(stream).program(Location.REMOTE)
-        loads = mcbn_background(PathModel.from_config(config), program, n - 1)
         contention = HybridContention(
             system, loads, foreground=program, start_ps=system.sim.now
         )
@@ -64,23 +64,15 @@ def _mcbn_point(n: int, period: int, stream: StreamConfig, mode: str, obs=None) 
             ).run_to_completion()
         if obs is not None:
             obs.finish_system(system)
-        bws = [result.bandwidth_bytes_per_s] + [
-            contention.background_bandwidth_bytes_per_s(load.name) for load in loads
-        ]
         return {
-            "bandwidths": bws,
-            "events": {
-                "simulated": system.sim.events_processed,
-                "equivalent": contention.equivalent_events(
-                    system.sim.events_processed, result.lines
-                ),
-            },
+            "bandwidths": [result.bandwidth_bytes_per_s]
+            + [contention.background_bandwidth_bytes_per_s(load.name) for load in loads]
         }
-    else:
-        engine = FluidEngine(paper_cluster_config(period=period)).contended_remote_engines(n)
-        run_result = engine.run(StreamWorkload(stream).program(Location.REMOTE))
-        bws = [run_result.bandwidth_bytes_per_s] * n
-    return {"bandwidths": bws}
+    # The contenders are the foreground's twins, so its analytic
+    # bandwidth stands for every instance.
+    timeline = solve_contention(model, loads, program)
+    run_result = FluidEngine(config).run(program, background=timeline)
+    return {"bandwidths": [run_result.bandwidth_bytes_per_s] * n}
 
 
 def run(
@@ -102,7 +94,7 @@ def run(
     optional :class:`repro.obs.Observability` bundle; each contention
     level becomes one traced run (spans cannot cross processes or the
     result cache, so tracing forces inline, uncached execution).
-    ``quick`` shrinks the arrays and sweeps (1, 4, 16, 64) instances.
+    ``quick`` shrinks the arrays and sweeps (1, 8, 96, 384) instances.
     """
     if instance_counts is None:
         instance_counts = QUICK_COUNTS if quick else DEFAULT_COUNTS

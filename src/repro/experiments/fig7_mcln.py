@@ -18,8 +18,8 @@ import numpy as np
 from repro.calibration import paper_cluster_config
 from repro.engine.des import DesPhaseDriver, run_concurrent
 from repro.engine.fluid import FluidEngine
-from repro.engine.hybrid import LENDER_BUS, HybridContention, mcln_background
-from repro.engine.model import PathModel
+from repro.engine.hybrid import HybridContention, mcln_background, solve_contention
+from repro.engine.model import LENDER_BUS, PathModel
 from repro.engine.phases import Location
 from repro.experiments.base import ExperimentResult
 from repro.node.cluster import ThymesisFlowSystem
@@ -30,9 +30,10 @@ __all__ = ["run"]
 
 DEFAULT_COUNTS: tuple[int, ...] = (0, 2, 4, 8, 16)
 #: Quick-mode lender load levels (hybrid offload makes the high end
-#: cheap — the local hammers are fluid flows, not events).  Capped at
-#: 96: beyond ~100 hammers the lender bus genuinely saturates and the
-#: paper's flat-bandwidth observation no longer applies.
+#: cheap — the local hammers are fluid flows, not events).  One hammer
+#: demands ~13.26 GB/s of the 230 GB/s lender bus, so the bus saturates
+#: at ~17 hammers; every quick point beyond 0 is in saturation, outside
+#: the paper's 0-16 regime that ``DEFAULT_COUNTS`` samples.
 QUICK_COUNTS: tuple[int, ...] = (0, 32, 64, 96)
 QUICK_ELEMENTS = 2_500
 
@@ -47,13 +48,37 @@ def _mcln_point(
     n_local: int, period: int, stream: StreamConfig, mode: str, obs=None
 ) -> dict:
     """Borrower bandwidth at one lender load level (worker-runnable)."""
+    config = paper_cluster_config(period=period)
     if mode == "des":
-        bw, lender_bus_util = _run_des(stream, n_local, period, obs=obs)
-    elif mode == "hybrid":
-        return _run_hybrid(stream, n_local, period, obs=obs)
+        return _run_des(config, stream, n_local, obs=obs)
+    # The hammers are fluid flows on the lender bus, solved together
+    # with the borrower's remote STREAM.
+    model = PathModel.from_config(config)
+    program = StreamWorkload(stream).program(Location.REMOTE)
+    loads = mcln_background(
+        model, _hammer_program(stream), n_local, LENDER_LOCAL_CONCURRENCY
+    )
+    if mode == "hybrid":
+        system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
+        system.attach_or_raise()
+        start = system.sim.now
+        contention = HybridContention(system, loads, foreground=program, start_ps=start)
+        with contention:
+            result = DesPhaseDriver(
+                system, program, instance="w0", footprint_lines=1 << 14
+            ).run_to_completion()
+        if obs is not None:
+            obs.finish_system(system)
+        timeline, bw = contention.timeline, result.bandwidth_bytes_per_s
+        served, end = system.lender.dram.bus.bytes_served, system.sim.now
     else:
-        bw, lender_bus_util = _run_fluid(stream, n_local, period)
-    return {"borrower_bw": bw, "lender_bus_util": lender_bus_util}
+        start = 0
+        timeline = solve_contention(model, loads, program)
+        run_result = FluidEngine(config).run(program, background=timeline)
+        bw = run_result.bandwidth_bytes_per_s
+        served, end = run_result.payload_bytes, run_result.duration_ps
+    served += timeline.background_schedule(LENDER_BUS).integrate(start, end)
+    return {"borrower_bw": bw, "lender_bus_util": _bus_util(served, end, model.bus_bytes_per_s)}
 
 
 def run(
@@ -74,7 +99,7 @@ def run(
     them over the :mod:`repro.perf` sweep executor.  *obs* traces each
     lender load level as its own run (tracing forces inline, uncached
     execution — spans cannot cross processes or the result cache).
-    ``quick`` shrinks the arrays and sweeps (0, 4, 16, 64) hammers.
+    ``quick`` shrinks the arrays and sweeps (0, 32, 64, 96) hammers.
     """
     if lender_counts is None:
         lender_counts = QUICK_COUNTS if quick else DEFAULT_COUNTS
@@ -112,10 +137,11 @@ def run(
         rows.append((n_local, round(bw / 1e9, 3), round(lender_bus_util, 3)))
     series = np.asarray(borrower_bw)
     variation = float((series.max() - series.min()) / series.max())
-    checks = {
-        "borrower bandwidth flat across lender concurrency (<10%)": variation < 0.10,
-        "lender bus never saturated by remote traffic alone": True,
-    }
+    checks = {"borrower bandwidth flat across lender concurrency (<10%)": variation < 0.10}
+    if 0 in lender_counts:
+        # The zero-hammer row is the remote traffic alone.
+        alone = outputs[list(lender_counts).index(0)]["lender_bus_util"]
+        checks["lender bus never saturated by remote traffic alone"] = alone < 1.0
     return ExperimentResult(
         experiment="fig7",
         title="Contention for bandwidth at lender node (MCLN)",
@@ -129,96 +155,37 @@ def run(
     )
 
 
-def _run_des(
-    borrower_cfg: StreamConfig, n_local: int, period: int, obs=None
-) -> tuple[float, float]:
-    config = paper_cluster_config(period=period)
-    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
-    system.attach_or_raise()
-    remote_program = StreamWorkload(borrower_cfg).program(Location.REMOTE)
-    # Lender-local instances get enough work to outlast the borrower
-    # run, so the borrower sees contention for its whole measurement.
+def _hammer_program(borrower_cfg: StreamConfig):
+    """One lender-local STREAM instance.
+
+    Hammers get twice the borrower's work, so the borrower sees
+    contention for its whole measurement.
+    """
     local_cfg = replace(
         borrower_cfg,
         n_elements=borrower_cfg.n_elements * 2,
         concurrency=LENDER_LOCAL_CONCURRENCY,
     )
-    local_programs = [
-        StreamWorkload(local_cfg).program(Location.LENDER_LOCAL) for _ in range(n_local)
-    ]
+    return StreamWorkload(local_cfg).program(Location.LENDER_LOCAL)
+
+
+def _bus_util(served_bytes: float, elapsed_ps: float, rate: float) -> float:
+    """Mean lender-bus utilisation: bytes served against what the bus
+    could have served over the whole run."""
+    elapsed_s = elapsed_ps / 1e12
+    return served_bytes / (rate * elapsed_s) if elapsed_s > 0 else 0.0
+
+
+def _run_des(config, borrower_cfg: StreamConfig, n_local: int, obs=None) -> dict:
+    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
+    system.attach_or_raise()
+    remote_program = StreamWorkload(borrower_cfg).program(Location.REMOTE)
+    local_programs = [_hammer_program(borrower_cfg) for _ in range(n_local)]
     results = run_concurrent(system, [remote_program, *local_programs])
     if obs is not None:
         obs.finish_system(system)
-    borrower_result = results[0]
-    # Mean utilization over the whole co-run: bytes actually served
-    # against what the bus could have served.
     bus = system.lender.dram.bus
-    elapsed_s = system.sim.now / 1e12
-    util = bus.bytes_served / (bus.rate * elapsed_s) if elapsed_s > 0 else 0.0
-    return borrower_result.bandwidth_bytes_per_s, util
-
-
-def _run_hybrid(borrower_cfg: StreamConfig, n_local: int, period: int, obs=None) -> dict:
-    """Discrete borrower instance, fluid lender-local hammers."""
-    config = paper_cluster_config(period=period)
-    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
-    system.attach_or_raise()
-    remote_program = StreamWorkload(borrower_cfg).program(Location.REMOTE)
-    local_cfg = replace(
-        borrower_cfg,
-        n_elements=borrower_cfg.n_elements * 2,
-        concurrency=LENDER_LOCAL_CONCURRENCY,
-    )
-    local_program = StreamWorkload(local_cfg).program(Location.LENDER_LOCAL)
-    loads = mcln_background(
-        PathModel.from_config(config), local_program, n_local, LENDER_LOCAL_CONCURRENCY
-    )
-    start = system.sim.now
-    contention = HybridContention(
-        system, loads, foreground=remote_program, start_ps=start
-    )
-    with contention:
-        result = DesPhaseDriver(
-            system, remote_program, instance="w0", footprint_lines=1 << 14
-        ).run_to_completion()
-    if obs is not None:
-        obs.finish_system(system)
-    bus = system.lender.dram.bus
-    now = system.sim.now
-    elapsed_s = now / 1e12
-    served = bus.bytes_served + contention.background_bytes(LENDER_BUS, start, now)
-    util = served / (bus.rate * elapsed_s) if elapsed_s > 0 else 0.0
     return {
-        "borrower_bw": result.bandwidth_bytes_per_s,
-        "lender_bus_util": util,
-        "events": {
-            "simulated": system.sim.events_processed,
-            "equivalent": contention.equivalent_events(
-                system.sim.events_processed, result.lines
-            ),
-        },
+        "borrower_bw": results[0].bandwidth_bytes_per_s,
+        "lender_bus_util": _bus_util(bus.bytes_served, system.sim.now, bus.rate),
     }
-
-
-def _run_fluid(
-    borrower_cfg: StreamConfig, n_local: int, period: int
-) -> tuple[float, float]:
-    config = paper_cluster_config(period=period)
-    base_engine = FluidEngine(config)
-    model = base_engine.model
-    # Demand of one local instance: concurrency-limited local streaming.
-    local_demand = (
-        LENDER_LOCAL_CONCURRENCY / (model.local_latency / 1e12)
-    )
-    remote_demand = model.remote_throughput_lines_per_s(
-        concurrency=borrower_cfg.concurrency, write_fraction=0.5
-    )
-    alloc = base_engine.mcln_allocation(remote_demand, local_demand, n_local)
-    share = min(1.0, alloc["remote"] / remote_demand) if remote_demand else 1.0
-    engine = FluidEngine(config, lender_bus_share=1.0)  # bus share via alloc below
-    run_result = engine.run(StreamWorkload(borrower_cfg).program(Location.REMOTE))
-    bus_line_rate = 1e12 / model.bus_interval
-    util = min(
-        1.0, (alloc["remote"] + sum(v for k, v in alloc.items() if k != "remote")) / bus_line_rate
-    )
-    return run_result.bandwidth_bytes_per_s * share, util

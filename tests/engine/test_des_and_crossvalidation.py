@@ -17,8 +17,11 @@ from repro.engine import (
     PhaseProgram,
     run_concurrent,
 )
+from repro.engine.hybrid import mcbn_background, solve_contention
 from repro.errors import WorkloadError
+from repro.experiments import fig7_mcln
 from repro.node.cluster import ThymesisFlowSystem
+from repro.workloads.stream import StreamConfig
 
 
 def attached(period=1):
@@ -138,10 +141,18 @@ class TestCrossValidation:
         system = attached(1)
         progs = [PhaseProgram(f"w{i}").add(remote_phase(n=1000)) for i in range(n_inst)]
         des_results = run_concurrent(system, progs)
-        fluid = (
-            FluidEngine(paper_cluster_config(period=1))
-            .contended_remote_engines(n_inst)
-            .run(progs[0])
-        )
+        engine = FluidEngine(paper_cluster_config(period=1))
+        loads = mcbn_background(engine.model, progs[0], n_inst - 1)
+        timeline = solve_contention(engine.model, loads, progs[0])
+        fluid = engine.run(progs[0], background=timeline)
         mean_bw = sum(r.bandwidth_bytes_per_s for r in des_results) / n_inst
         assert mean_bw == pytest.approx(fluid.bandwidth_bytes_per_s, rel=0.10)
+
+    @pytest.mark.parametrize("n_local", [0, 4, 16])
+    def test_mcln_agreement(self, n_local):
+        # fig7's own points: one remote STREAM against n lender-local
+        # hammers, which stay below the lender bus's capacity up to 16.
+        stream = StreamConfig(n_elements=1_500)
+        des = fig7_mcln._mcln_point(n_local, period=1, stream=stream, mode="des")
+        fluid = fig7_mcln._mcln_point(n_local, period=1, stream=stream, mode="fluid")
+        assert des["borrower_bw"] == pytest.approx(fluid["borrower_bw"], rel=0.06)

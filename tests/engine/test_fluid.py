@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.calibration import BDP_BYTES, T_CYC_PS, paper_cluster_config
 from repro.engine import AccessPhase, FluidEngine, Location, PhaseProgram, TimedFlow, max_min_rates
+from repro.engine.hybrid import mcbn_background, mcln_background, solve_contention
 from repro.errors import ConfigError
+from repro.workloads.stream import StreamConfig, StreamWorkload
 
 
-def engine(period=1, **kw):
-    return FluidEngine(paper_cluster_config(period=period), **kw)
+def engine(period=1):
+    return FluidEngine(paper_cluster_config(period=period))
 
 
 def phase(n=1000, c=128, wf=0.0, loc=Location.REMOTE, z=0, compute=0, reps=1):
@@ -141,35 +143,60 @@ class TestSweep:
             engine().sweep_remote_steady_state([0], concurrency=1)
 
 
+def contended(eng, program, loads):
+    """*program* on what *loads* leave free, from the shared contention solve."""
+    return eng.run(program, background=solve_contention(eng.model, loads, program))
+
+
+STREAM = StreamWorkload(StreamConfig(n_elements=1_500)).program(Location.REMOTE)
+HAMMER = StreamWorkload(StreamConfig(n_elements=3_000, concurrency=10)).program(
+    Location.LENDER_LOCAL
+)
+
+
 class TestContention:
     def test_mcbn_share_scales(self):
         eng = engine()
-        solo = eng.run(PhaseProgram("w").add(phase(n=10_000)))
-        quarter = eng.contended_remote_engines(4).run(PhaseProgram("w").add(phase(n=10_000)))
+        prog = PhaseProgram("w").add(phase(n=10_000))
+        solo = eng.run(prog)
+        quarter = contended(eng, prog, mcbn_background(eng.model, prog, 3))
         assert quarter.bandwidth_bytes_per_s == pytest.approx(
             solo.bandwidth_bytes_per_s / 4, rel=0.05
         )
 
-    def test_mcln_allocation_remote_unaffected_when_bus_unsaturated(self):
+    def test_mcln_remote_unaffected_when_bus_unsaturated(self):
         eng = engine()
-        remote_demand = eng.model.remote_throughput_lines_per_s(128)
-        alloc = eng.mcln_allocation(remote_demand, local_demand_lines_per_s=1e8, n_local_flows=4)
-        assert alloc["remote"] == pytest.approx(remote_demand, rel=1e-6)
+        solo = eng.run(STREAM)
+        # 4 hammers demand ~53 GB/s of the 230 GB/s lender bus.
+        shared = contended(eng, STREAM, mcln_background(eng.model, HAMMER, 4, 10))
+        assert shared.bandwidth_bytes_per_s == pytest.approx(
+            solo.bandwidth_bytes_per_s, rel=1e-9
+        )
 
     def test_mcln_bus_saturation_squeezes_remote(self):
         eng = engine()
-        remote_demand = eng.model.remote_throughput_lines_per_s(128)
-        bus_rate = 1e12 / eng.model.bus_interval
-        # locals demand far beyond the bus: max-min squeezes everyone.
-        alloc = eng.mcln_allocation(remote_demand, local_demand_lines_per_s=bus_rate, n_local_flows=64)
-        assert alloc["remote"] < remote_demand
+        solo = eng.run(STREAM)
+        # Weighted by depth (10 per hammer, 128 for the remote window),
+        # the remote flow stays within 2% of its solo rate up to ~200
+        # hammers; 256 take ~16% of it.
+        kept = contended(eng, STREAM, mcln_background(eng.model, HAMMER, 64, 10))
+        squeezed = contended(eng, STREAM, mcln_background(eng.model, HAMMER, 256, 10))
+        assert kept.bandwidth_bytes_per_s == pytest.approx(
+            solo.bandwidth_bytes_per_s, rel=0.01
+        )
+        assert squeezed.bandwidth_bytes_per_s < 0.9 * solo.bandwidth_bytes_per_s
 
     def test_share_validation(self):
+        eng = engine()
         with pytest.raises(ConfigError):
-            engine(remote_share=0)
+            mcbn_background(eng.model, STREAM, -1)
         with pytest.raises(ConfigError):
-            engine().contended_remote_engines(0)
+            mcln_background(eng.model, HAMMER, -1, 10)
+        with pytest.raises(TypeError):  # shares come from the solve only
+            FluidEngine(paper_cluster_config(), 0.5)
 
-    def test_with_period_preserves_shares(self):
-        eng = FluidEngine(paper_cluster_config(), remote_share=0.5)
-        assert eng.with_period(10).remote_share == 0.5
+    def test_no_background_leaves_everything_free(self):
+        eng = engine()
+        alone = solve_contention(eng.model, (), STREAM)
+        assert set(eng.capacity_left(alone).values()) == {1.0}
+        assert eng.run(STREAM, background=alone) == eng.run(STREAM)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import paper_cluster_config
-from repro.engine import AccessPhase, FluidEngine, Location
+from repro.engine import AccessPhase, FluidEngine, Location, PhaseProgram
+from repro.engine.hybrid import mcbn_background, solve_contention
 
 periods = st.integers(min_value=1, max_value=4096)
 lines = st.integers(min_value=1, max_value=500_000)
@@ -78,6 +79,9 @@ def test_local_never_slower_than_remote(p, n, c):
 @given(p=periods, n=lines, c=concurrencies, shares=st.integers(min_value=1, max_value=16))
 def test_contended_share_never_faster(p, n, c, shares):
     eng = FluidEngine(paper_cluster_config(period=p))
+    program = PhaseProgram("w").add(phase(n, c))
     solo = eng.phase_duration_ps(phase(n, c))
-    contended = eng.contended_remote_engines(shares).phase_duration_ps(phase(n, c))
+    loads = mcbn_background(eng.model, program, shares - 1)
+    timeline = solve_contention(eng.model, loads, program)
+    contended = eng.run(program, background=timeline).duration_ps
     assert contended >= solo - 1e-6

@@ -19,6 +19,7 @@ from repro.engine.hybrid import (
     HybridContention,
     mcbn_background,
     program_write_fraction,
+    solve_contention,
 )
 from repro.engine.model import PathModel
 from repro.engine.phases import Location
@@ -91,12 +92,15 @@ class TestContendedEquivalence:
             f"({rel * 100:.1f}% off)"
         )
 
-    def test_equivalent_events_scale_with_background(self):
-        result, system, contention = _hybrid_point(4)
-        sim_events = system.sim.events_processed
-        equivalent = contention.equivalent_events(sim_events, result.lines)
-        # 3 fluid contenders moving the same lines as the foreground.
-        assert equivalent == pytest.approx(sim_events * 4, rel=0.01)
+    def test_fluid_reads_the_same_solve(self):
+        # --mode fluid evaluates its foreground against exactly the
+        # timeline the hybrid engine installs on its servers.
+        _, _, contention = _hybrid_point(4)
+        program = StreamWorkload(STREAM).program(Location.REMOTE)
+        timeline = solve_contention(
+            contention.model, contention.loads, program, start_ps=contention.start_ps
+        )
+        assert timeline == contention.timeline
 
 
 class TestTimelineSolver:

@@ -126,6 +126,18 @@ class TestFig7:
         utils = [row[2] for row in result.rows]
         assert utils[1] > utils[0]
 
+    def test_fluid_mode(self):
+        result = run_experiment("fig7", mode="fluid", lender_counts=(0, 2, 8))
+        assert result.passed, result.failed_checks()
+
+    def test_remote_alone_check_reads_the_zero_hammer_row(self):
+        check = "lender bus never saturated by remote traffic alone"
+        alone = run_experiment("fig7", mode="fluid", lender_counts=(0, 16))
+        assert alone.checks[check] == (alone.rows[0][2] < 1.0)
+        # Without a zero-hammer row there is nothing to judge it on.
+        loaded = run_experiment("fig7", mode="fluid", lender_counts=(2, 16))
+        assert check not in loaded.checks
+
 
 class TestAblationExperiments:
     """The extension studies run and pass their checks at small sizes."""

@@ -96,7 +96,7 @@ class TestStreamWorkload:
         copy = next(k for k in STREAM_KERNELS if k.name == "copy")
         assert w.kernel_traffic_bytes(copy) == 16 * 1000 * 2
 
-    def test_run_fluid_local_vs_remote(self):
+    def test_fluid_run_local_vs_remote(self):
         w = StreamWorkload(StreamConfig(n_elements=16_000))
         eng = FluidEngine(paper_cluster_config(period=1))
         remote = w.run_fluid(eng, Location.REMOTE)
